@@ -3,8 +3,9 @@
 Subcommands: ``parse``, ``lts``, ``indep``, ``static-equiv``, ``check``,
 ``diamonds``, ``corpus``, ``explain``.  Exit codes for decision commands:
 0 when the queried property holds (Related / equivalent / no violations),
-1 when refuted, 2 on errors.  ``LATSPI_STATE_BUDGET`` overrides the default
-state cap of reachability exploration.
+1 when refuted, 2 on errors, a recipe or rewrite limit hit included.
+``LATSPI_STATE_BUDGET`` overrides the default state cap of reachability
+exploration.
 """
 
 from __future__ import annotations
@@ -26,13 +27,19 @@ from .games import (
     check,
     witness_replay,
 )
-from .knowledge import satisfies, static_equiv_witness, static_impl_witness
+from .knowledge import (
+    RecipeLimitExceeded,
+    satisfies,
+    static_equiv_witness,
+    static_impl_witness,
+)
 from .independence import indep_event, indep_loc
 from .lts import ExplorationBounds, default_consts, diamond_check, enabled_transitions, reachable_lts
 from .syntax import ParseError, from_process, parse_pi_file, prime_bangs, to_text
 from .terms import (
     EMPTY_THEORY,
     ID_ALIAS,
+    RewriteBudgetExceeded,
     Substitution,
     TheoryError,
     dolev_yao,
@@ -389,6 +396,8 @@ def cmd_corpus(args) -> int:
         for c in report["cases"]:
             status = "PASS" if c["ok"] else "FAIL"
             extra = f" [{c['error']}]" if c.get("error") else ""
+            if args.timings:
+                extra += f" ({c['seconds']:.3f} s)"
             print(f"{status} {c['name']}: expected {c['expected']}, got {c['actual']}{extra}")
         print(f"{report['passed']}/{report['total']} cases passed")
     return 0 if report["failed"] == 0 else 1
@@ -510,6 +519,10 @@ def main(argv: list[str] | None = None) -> int:
         return args.fn(args)
     except (CliError, ParseError, TheoryError, OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (RecipeLimitExceeded, RewriteBudgetExceeded) as exc:
+        # exit 1 would read as "distinguished"
+        print(f"error: resource limit hit: {exc}", file=sys.stderr)
         return 2
 
 

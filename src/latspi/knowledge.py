@@ -6,10 +6,30 @@ when both sides normalise to the same message after substituting the frame.
 Static equivalence of two frames (up to an alias bijection) is decided over
 the finite recipe universe of a given depth by partitioning recipes by
 their normal form on each side and comparing the partitions.
+
+Normal forms are compared as small integers.  A ``NormalForms`` table
+interns each distinct normal form of one theory and memoizes, for every
+symbol applied to interned arguments, the id of the result's normal form.
+A recipe's id under a frame then follows from its arguments' ids without
+rebuilding or hashing the substituted term.  The scan walks the recipes in
+enumeration order, computing both frames' ids as it goes, and keeps for
+each id on one side the first recipe with it and the other side's id
+there; the first recipe whose ids disagree with that record gives the
+witness, and the scan stops there.  The frames are equivalent exactly when
+no recipe does.  The game checker owns one table for its lifetime; a
+caller without one gets a fresh table per call.
+
+For a terminating theory the verdict and the witness are those of
+normalising each substituted recipe whole.  The table normalises a recipe
+in pieces, one application over normal-form arguments at a time, and each
+piece has its own rewrite step budget; so with rules that do not
+terminate, ``RewriteBudgetExceeded`` can be raised where a whole term
+stayed within the budget, or the other way round.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import product
 
@@ -18,6 +38,7 @@ from .terms import (
     AliasMap,
     App,
     Message,
+    Substitution,
     Symbol,
     Theory,
     Var,
@@ -89,6 +110,75 @@ class StaticWitness:
     holds_right: bool
 
 
+class NormalForms:
+    """Hash-consed normal forms of one theory: each distinct normal form
+    gets an integer id, and each symbol applied to interned arguments is
+    normalised once."""
+
+    def __init__(self, theory: Theory):
+        self.theory = theory
+        self.ids: dict[Message, int] = {}
+        self.terms: list[Message] = []
+        # (symbol, argument ids...) -> id of the normal form
+        self.apps: dict[tuple, int] = {}
+        # id(recipe list) -> (the list, kept so that its id stays unique; its shape)
+        self.shapes: dict[int, tuple[list, list]] = {}
+
+    def intern(self, m: Message) -> int:
+        """The id of the normal form of ``m``."""
+        nf = self.theory.normalize(m)
+        i = self.ids.get(nf)
+        if i is None:
+            i = self.ids[nf] = len(self.terms)
+            self.terms.append(nf)
+        return i
+
+    def shape(self, recipes: list) -> list:
+        """Per recipe: ``(symbol, argument positions)`` when it applies a
+        symbol to earlier recipes of the list, as every recipe of
+        ``recipe_enum`` above its atoms does; otherwise the recipe itself."""
+        hit = self.shapes.get(id(recipes))
+        if hit is not None:
+            return hit[1]
+        pos: dict[int, int] = {}
+        out: list = []
+        for k, r in enumerate(recipes):
+            if isinstance(r, App) and all(id(a) in pos for a in r.args):
+                out.append((r.fn, tuple(pos[id(a)] for a in r.args)))
+            else:
+                out.append(r)
+            pos.setdefault(id(r), k)
+        self.shapes[id(recipes)] = (recipes, out)
+        return out
+
+    def recipe_ids(self, recipes: list, frame) -> Iterator[int]:
+        """Normal-form ids of the recipes under the frame, in order, each
+        computed only when it is asked for."""
+        apps = self.apps
+        ids: list[int] = []
+        for entry in self.shape(recipes):
+            if isinstance(entry, tuple):
+                key = (entry[0], *map(ids.__getitem__, entry[1]))
+                i = apps.get(key)
+                if i is None:
+                    args = tuple(self.terms[a] for a in key[1:])
+                    i = apps[key] = self.intern(App(entry[0], args))
+            else:
+                i = self.intern(apply_msg_subst(entry, frame))
+            ids.append(i)
+            yield i
+
+
+def _renamed_frame(frame, rho: AliasMap) -> Substitution:
+    """The frame seen through ``rho``: ``r`` under the result is ``rho(r)``
+    under ``frame``."""
+    image = {}
+    for a in frame.domain | rho.domain:
+        b = rho.mapping.get(a, a)
+        image[a] = frame.mapping.get(b, b)
+    return Substitution(image)
+
+
 def _scan(
     frame_a,
     frame_b,
@@ -96,23 +186,28 @@ def _scan(
     recipes,
     theory: Theory,
     both_directions: bool,
+    table: NormalForms | None = None,
 ) -> StaticWitness | None:
+    if table is None:
+        table = NormalForms(theory)
+    elif table.theory is not theory:
+        raise ValueError("normal-form table belongs to another theory")
+    ids_a = table.recipe_ids(recipes, frame_a)
+    ids_b = table.recipe_ids(recipes, _renamed_frame(frame_b, rho))
     rep_a: dict = {}
     rep_b: dict = {}
-    for r in recipes:
-        nf_a = theory.normalize(apply_msg_subst(r, frame_a))
-        nf_b = theory.normalize(apply_msg_subst(rho(r), frame_b))
+    for k, (nf_a, nf_b) in enumerate(zip(ids_a, ids_b)):
         prev = rep_a.get(nf_a)
         if prev is None:
-            rep_a[nf_a] = (r, nf_b)
+            rep_a[nf_a] = (k, nf_b)
         elif prev[1] != nf_b:
-            return StaticWitness(prev[0], r, True, False)
+            return StaticWitness(recipes[prev[0]], recipes[k], True, False)
         if both_directions:
             prev = rep_b.get(nf_b)
             if prev is None:
-                rep_b[nf_b] = (r, nf_a)
+                rep_b[nf_b] = (k, nf_a)
             elif prev[1] != nf_a:
-                return StaticWitness(prev[0], r, False, True)
+                return StaticWitness(recipes[prev[0]], recipes[k], False, True)
     return None
 
 
@@ -124,12 +219,13 @@ def static_equiv_witness(
     signature: tuple[Symbol, ...],
     depth: int,
     theory: Theory,
+    table: NormalForms | None = None,
 ) -> StaticWitness | None:
     """A recipe pair separating the frames up to ``rho``, or ``None`` when
     they are statically equivalent at this depth.  The witness is minimal in
     the deterministic enumeration order."""
     recipes = recipe_enum(frame_a.domain, consts, signature, depth, theory)
-    return _scan(frame_a, frame_b, rho, recipes, theory, both_directions=True)
+    return _scan(frame_a, frame_b, rho, recipes, theory, True, table)
 
 
 def static_impl_witness(
@@ -140,8 +236,9 @@ def static_impl_witness(
     signature: tuple[Symbol, ...],
     depth: int,
     theory: Theory,
+    table: NormalForms | None = None,
 ) -> StaticWitness | None:
     """One-directional variant: a pair satisfied by the left frame but not
     by the right, or ``None``."""
     recipes = recipe_enum(frame_a.domain, consts, signature, depth, theory)
-    return _scan(frame_a, frame_b, rho, recipes, theory, both_directions=False)
+    return _scan(frame_a, frame_b, rho, recipes, theory, False, table)

@@ -253,16 +253,6 @@ def prime_bangs(p: Process, fuel: int) -> Process:
     raise TypeError(p)
 
 
-def has_bang(p: Process) -> bool:
-    if isinstance(p, Bang):
-        return True
-    if isinstance(p, (New, In, Out, Match, Mismatch)):
-        return has_bang(p.body)
-    if isinstance(p, (Par, Sum)):
-        return has_bang(p.left) or has_bang(p.right)
-    return False
-
-
 # --- parsing ---------------------------------------------------------------
 
 _TOKEN_RE = re.compile(

@@ -96,12 +96,6 @@ def free_aliases(m: Message) -> frozenset[Alias]:
     return out
 
 
-def subterm_size(m: Message) -> int:
-    if isinstance(m, App):
-        return 1 + sum(subterm_size(a) for a in m.args)
-    return 1
-
-
 def msg_key(m: Message):
     """Deterministic total order on messages (for canonical enumeration)."""
     if isinstance(m, Var):
@@ -400,7 +394,7 @@ def parse_theory(text: str, step_budget: int = 10_000) -> Theory:
 
 
 DOLEV_YAO_TEXT = """\
-# symmetric encryption, pairing, hashing
+# symmetric encryption and pairing; a hash h is a free symbol with no rule
 dec(enc(x, y), y) -> x
 fst(pair(x, y)) -> x
 snd(pair(x, y)) -> y
@@ -408,9 +402,7 @@ snd(pair(x, y)) -> y
 
 
 def dolev_yao() -> Theory:
-    theory = parse_theory(DOLEV_YAO_TEXT)
-    # hashing has no equations but belongs to the preset signature
-    return theory
-
-
-DOLEV_YAO_EXTRA_SYMBOLS = (Symbol("h", 1),)
+    """The Dolev-Yao preset.  Its signature is that of its rules; a free
+    symbol such as the hash ``h`` joins a signature only when a process or
+    frame mentions it."""
+    return parse_theory(DOLEV_YAO_TEXT)

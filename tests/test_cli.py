@@ -1,10 +1,13 @@
 """Command-line interface: subcommands, exit codes, witness files."""
 
 import json
+import re
 
 import pytest
 
 from latspi.cli import main, parse_bounds
+from latspi.knowledge import RecipeLimitExceeded
+from latspi.terms import RewriteBudgetExceeded
 
 
 @pytest.fixture
@@ -200,6 +203,51 @@ def test_corpus_subset_deterministic(files, capsys):
     assert code1 == code2 == 0
     assert out1 == out2  # byte-identical without timings
     assert json.loads(out1)["passed"] == 1
+
+
+def test_corpus_timings_in_text_format(files, capsys):
+    cases = [
+        {
+            "name": name,
+            "relation": "sim-i",
+            "expected": "RELATED_EXACT",
+            "left": "out(a, b)",
+            "right": "out(a, b)",
+            "bounds": {"recipe_depth": 0, "static_depth": 0},
+        }
+        for name in ("first", "second")
+    ]
+    sub = files("two.json", json.dumps({"cases": cases}))
+    code, out, _ = run(capsys, "corpus", "--path", sub, "--timings")
+    lines = out.splitlines()
+    assert code == 0 and len(lines) == 3
+    for name, line in zip(("first", "second"), lines):
+        expected = rf"PASS {name}: expected RELATED_EXACT, got RELATED_EXACT \(\d+\.\d{{3}} s\)"
+        assert re.fullmatch(expected, line)
+    code, out, _ = run(capsys, "corpus", "--path", sub)
+    assert code == 0 and " s)" not in out
+
+
+@pytest.mark.parametrize(
+    "exc",
+    [
+        RecipeLimitExceeded("more than 200000 recipes at depth 3"),
+        RewriteBudgetExceeded("exceeded 10000 rewrite steps"),
+    ],
+)
+def test_resource_limit_exits_two(files, capsys, monkeypatch, exc):
+    # the real trigger, sim-i on out(a, enc(m,k)) vs out(a, m) with the
+    # Dolev-Yao theory at depth=3, takes seconds; the raise is what matters
+    def raising(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr("latspi.cli.check", raising)
+    l = files("l.pi", "out(a, enc(m, k))")
+    r = files("r.pi", "out(a, m)")
+    argv = ("check", "sim-i", l, r, "--theory", "dolev-yao", "--bounds", "depth=3")
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and str(exc) in err
 
 
 def test_corpus_failure_is_reported_not_crash(files, capsys):

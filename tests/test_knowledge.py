@@ -1,6 +1,10 @@
 """Attacker knowledge: recipe enumeration, satisfaction, static equivalence."""
 
+from hypothesis import given, settings, strategies as st
+
 from latspi.knowledge import (
+    NormalForms,
+    StaticWitness,
     recipe_enum,
     satisfies,
     static_equiv_witness,
@@ -8,11 +12,15 @@ from latspi.knowledge import (
 )
 from latspi.terms import (
     Alias,
+    AliasMap,
+    App,
     ID_ALIAS,
     Substitution,
     Symbol,
     Var,
+    apply_msg_subst,
     app,
+    rename_vars,
     dolev_yao,
     EMPTY_THEORY,
 )
@@ -124,3 +132,97 @@ def test_alias_bijection_applied_to_right():
     left = Substitution({L0: Var("x")})
     right = Substitution({L1: Var("x")})
     assert static_equiv_witness(left, right, rho, frozenset({"x"}), (), 1, EMPTY_THEORY) is None
+
+
+# --- agreement with the term-level scan ------------------------------------
+
+
+def _reference_scan(frame_a, frame_b, rho, recipes, theory, both_directions):
+    """The static scan on whole terms, as decided before normal forms were
+    interned: the reference the interned scan must reproduce exactly."""
+    rep_a: dict = {}
+    rep_b: dict = {}
+    for r in recipes:
+        nf_a = theory.normalize(apply_msg_subst(r, frame_a))
+        nf_b = theory.normalize(apply_msg_subst(rho(r), frame_b))
+        prev = rep_a.get(nf_a)
+        if prev is None:
+            rep_a[nf_a] = (r, nf_b)
+        elif prev[1] != nf_b:
+            return StaticWitness(prev[0], r, True, False)
+        if both_directions:
+            prev = rep_b.get(nf_b)
+            if prev is None:
+                rep_b[nf_b] = (r, nf_a)
+            elif prev[1] != nf_a:
+                return StaticWitness(prev[0], r, False, True)
+    return None
+
+
+DY_SIGNATURE = tuple(
+    Symbol(name, arity)
+    for name, arity in (("dec", 2), ("enc", 2), ("fst", 1), ("h", 1), ("pair", 2), ("snd", 1))
+)
+LEFT_ALIASES = (Alias("0", "l"), Alias("1", "l"))
+RIGHT_ALIASES = (Alias("10", "l"), Alias("11", "l"))
+
+
+def _frame_terms(max_leaves=3):
+    leaves = st.sampled_from([Var("%0"), Var("%1"), Var("%2"), Var("a")])
+
+    def extend(children):
+        return st.one_of(
+            *(
+                st.tuples(*[children] * sym.arity).map(lambda args, sym=sym: App(sym, args))
+                for sym in DY_SIGNATURE
+            )
+        )
+
+    return st.recursive(leaves, extend, max_leaves=max_leaves)
+
+
+@st.composite
+def _static_problems(draw):
+    depth = draw(st.integers(0, 2))
+    # depth 2 over two aliases and two names enumerates about 12 000 recipes
+    size = 1 if depth == 2 else draw(st.integers(1, 2))
+    left_terms = draw(st.lists(_frame_terms(), min_size=size, max_size=size))
+    mode = draw(st.sampled_from(["renamed", "mutated", "independent"]))
+    if mode == "independent":
+        right_terms = draw(st.lists(_frame_terms(), min_size=size, max_size=size))
+    else:
+        # a private-name renaming of the left frame, equivalent to it; a
+        # mutated one has one entry replaced, often by a name or a clash
+        perm = draw(st.permutations(["%0", "%1", "%2"]))
+        rename = dict(zip(["%0", "%1", "%2"], map(Var, perm)))
+        right_terms = [rename_vars(t, rename) for t in left_terms]
+        if mode == "mutated":
+            right_terms[draw(st.integers(0, size - 1))] = draw(_frame_terms(max_leaves=1))
+    right_aliases = draw(st.sampled_from([LEFT_ALIASES, RIGHT_ALIASES]))
+    targets = draw(st.permutations(right_aliases[:size]))
+    frame_a = Substitution(dict(zip(LEFT_ALIASES, left_terms)))
+    frame_b = Substitution(dict(zip(targets, right_terms)))
+    rho = AliasMap(dict(zip(LEFT_ALIASES, targets)))
+    consts = frozenset({"a"} if depth == 2 else draw(st.sampled_from([{"a"}, {"a", "b"}])))
+    return frame_a, frame_b, rho, consts, depth
+
+
+# one theory and one table for every example, as a checker shares its table
+# across the static tests of one game
+_DY = dolev_yao()
+_TABLE = NormalForms(_DY)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_static_problems())
+def test_interned_scan_matches_term_scan(problem):
+    frame_a, frame_b, rho, consts, depth = problem
+    recipes = recipe_enum(frame_a.domain, consts, DY_SIGNATURE, depth, _DY)
+    keys = set(_DY.__dict__)
+    args = (frame_a, frame_b, rho, consts, DY_SIGNATURE, depth, _DY)
+    equiv = _reference_scan(frame_a, frame_b, rho, recipes, _DY, True)
+    impl = _reference_scan(frame_a, frame_b, rho, recipes, _DY, False)
+    assert static_equiv_witness(*args) == equiv  # a fresh table
+    assert static_equiv_witness(*args, _TABLE) == equiv
+    assert static_impl_witness(*args, _TABLE) == impl
+    assert set(_DY.__dict__) == keys
