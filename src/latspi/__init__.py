@@ -21,7 +21,6 @@ from .terms import (
     Symbol,
     Theory,
     TheoryError,
-    EMPTY_THEORY,
     Var,
     dolev_yao,
     parse_message,

@@ -3,16 +3,14 @@
 Subcommands: ``parse``, ``lts``, ``indep``, ``static-equiv``, ``check``,
 ``diamonds``, ``corpus``, ``explain``.  Exit codes for decision commands:
 0 when the queried property holds (Related / equivalent / no violations),
-1 when refuted, 2 on errors, a recipe or rewrite limit hit included.
-``LATSPI_STATE_BUDGET`` overrides the default state cap of reachability
-exploration.
+1 when refuted, 2 on errors, a recipe, rewrite or recursion limit hit
+included.  Each command builds its own theory, which owns every cache.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 
@@ -37,12 +35,13 @@ from .independence import indep_event, indep_loc
 from .lts import ExplorationBounds, default_consts, diamond_check, enabled_transitions, reachable_lts
 from .syntax import ParseError, from_process, parse_pi_file, prime_bangs, to_text
 from .terms import (
-    EMPTY_THEORY,
     ID_ALIAS,
     RewriteBudgetExceeded,
     Substitution,
+    Theory,
     TheoryError,
     dolev_yao,
+    msg_symbols,
     parse_message,
     parse_theory,
     rename_vars,
@@ -57,9 +56,10 @@ class CliError(Exception):
 # --- shared option handling ------------------------------------------------
 
 
-def load_theory(spec: str | None):
+def load_theory(spec: str | None) -> Theory:
+    """A new theory per call: a preset name, or a rewrite-theory file."""
     if spec is None or spec == "empty":
-        return EMPTY_THEORY
+        return Theory(())
     if spec == "dolev-yao":
         return dolev_yao()
     with open(spec) as f:
@@ -91,8 +91,6 @@ def parse_bounds(text: str | None) -> ExplorationBounds:
             kw[field] = int(value)
     if "recipe_depth" in kw and "static_depth" not in kw:
         kw["static_depth"] = kw["recipe_depth"]
-    if "state_budget" not in kw and os.environ.get("LATSPI_STATE_BUDGET"):
-        kw["state_budget"] = int(os.environ["LATSPI_STATE_BUDGET"])
     return ExplorationBounds(**kw)
 
 
@@ -281,16 +279,12 @@ def cmd_static_equiv(args) -> int:
     bounds = parse_bounds(args.bounds)
     left = load_frame(args.left)
     right = load_frame(args.right)
-    signature = tuple(
-        sorted(
-            set(theory.symbols())
-            | {s for t in list(left.items()) + list(right.items()) for s in _term_symbols(t[1])},
-            key=lambda s: (s.name, s.arity),
-        )
-    )
+    syms = theory.symbols()
     consts = frozenset({"w0"}) | frozenset(bounds.extra_consts)
     for _, term in list(left.items()) + list(right.items()):
-        consts |= {v for v in _free_public(term)}
+        syms |= msg_symbols(term)
+        consts |= _free_public(term)
+    signature = tuple(sorted(syms, key=lambda s: (s.name, s.arity)))
     if args.test:
         lhs, _, rhs = args.test.partition("=")
         m = _aliasify(parse_message(lhs.strip()))
@@ -321,15 +315,6 @@ def cmd_static_equiv(args) -> int:
     else:
         print(json.dumps(data))
     return code
-
-
-def _term_symbols(term):
-    from .terms import App
-
-    if isinstance(term, App):
-        yield term.fn
-        for a in term.args:
-            yield from _term_symbols(a)
 
 
 def _free_public(term):
@@ -520,7 +505,7 @@ def main(argv: list[str] | None = None) -> int:
     except (CliError, ParseError, TheoryError, OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (RecipeLimitExceeded, RewriteBudgetExceeded) as exc:
+    except (RecipeLimitExceeded, RewriteBudgetExceeded, RecursionError) as exc:
         # exit 1 would read as "distinguished"
         print(f"error: resource limit hit: {exc}", file=sys.stderr)
         return 2

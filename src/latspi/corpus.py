@@ -17,7 +17,7 @@ from importlib import resources
 from .games import Rel, Verdict, check, witness_replay
 from .lts import ExplorationBounds
 from .syntax import parse_process
-from .terms import EMPTY_THEORY, Theory, dolev_yao
+from .terms import Theory, dolev_yao
 
 RELATED_EXACT = "RELATED_EXACT"
 RELATED_BOUNDED = "RELATED_BOUNDED"
@@ -37,10 +37,11 @@ class CorpusCase:
 
 
 def case_theory(case: CorpusCase) -> Theory:
+    """A new theory per call, so that each case has caches of its own."""
     if case.theory == "dolev-yao":
         return dolev_yao()
     if case.theory == "empty":
-        return EMPTY_THEORY
+        return Theory(())
     raise ValueError(f"unknown theory preset: {case.theory}")
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .independence import indep_event, indep_loc
-from .knowledge import NormalForms, StaticWitness, static_equiv_witness, static_impl_witness
+from .knowledge import StaticWitness, static_equiv_witness, static_impl_witness
 from .lts import (
     Event,
     ExplorationBounds,
@@ -154,7 +154,6 @@ class Checker:
         self.memo: dict = {}
         self.stack: set = set()
         self.static_cache: dict = {}
-        self.normal_forms = NormalForms(theory)
         self.tainted = False
 
     # -- primitives --
@@ -186,7 +185,6 @@ class Checker:
             self.signature,
             self.bounds.static_depth,
             self.theory,
-            self.normal_forms,
         )
         self.static_cache[key] = w
         return w

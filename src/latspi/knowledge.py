@@ -7,7 +7,7 @@ Static equivalence of two frames (up to an alias bijection) is decided over
 the finite recipe universe of a given depth by partitioning recipes by
 their normal form on each side and comparing the partitions.
 
-Normal forms are compared as small integers.  A ``NormalForms`` table
+Normal forms are compared as small integers.  A ``terms.NormalForms`` table
 interns each distinct normal form of one theory and memoizes, for every
 symbol applied to interned arguments, the id of the result's normal form.
 A recipe's id under a frame then follows from its arguments' ids without
@@ -16,8 +16,9 @@ enumeration order, computing both frames' ids as it goes, and keeps for
 each id on one side the first recipe with it and the other side's id
 there; the first recipe whose ids disagree with that record gives the
 witness, and the scan stops there.  The frames are equivalent exactly when
-no recipe does.  The game checker owns one table for its lifetime; a
-caller without one gets a fresh table per call.
+no recipe does.  The table is the theory's, like its recipe lists and
+transitions: calls sharing one ``Theory`` share them, a check and its
+replay included, and they live as long as the theory does.
 
 For a terminating theory the verdict and the witness are those of
 normalising each substituted recipe whole.  The table normalises a recipe
@@ -29,7 +30,6 @@ stayed within the budget, or the other way round.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import product
 
@@ -46,6 +46,9 @@ from .terms import (
     msg_key,
 )
 
+# most recipes ``recipe_enum`` lists before raising ``RecipeLimitExceeded``
+RECIPE_LIMIT = 200_000
+
 
 def recipe_enum(
     aliases: frozenset[Alias],
@@ -53,13 +56,12 @@ def recipe_enum(
     signature: tuple[Symbol, ...],
     depth: int,
     theory: Theory,
-    limit: int = 200_000,
 ) -> list[Message]:
     """All recipes up to the given application depth, deduplicated modulo
     the theory (aliases treated as opaque constants).  The first recipe in
     enumeration order is kept as the representative of its class."""
-    cache = theory.__dict__.setdefault("_recipe_cache", {})
-    cache_key = (frozenset(aliases), frozenset(consts), tuple(signature), depth, limit)
+    cache = theory.recipes
+    cache_key = (frozenset(aliases), frozenset(consts), tuple(signature), depth)
     hit = cache.get(cache_key)
     if hit is not None:
         return hit
@@ -73,8 +75,8 @@ def recipe_enum(
         if nf not in seen:
             seen.add(nf)
             out.append(r)
-            if len(out) > limit:
-                raise RecipeLimitExceeded(f"more than {limit} recipes at depth {depth}")
+            if len(out) > RECIPE_LIMIT:
+                raise RecipeLimitExceeded(f"more than {RECIPE_LIMIT} recipes at depth {depth}")
 
     for a in atoms:
         add(a)
@@ -110,65 +112,6 @@ class StaticWitness:
     holds_right: bool
 
 
-class NormalForms:
-    """Hash-consed normal forms of one theory: each distinct normal form
-    gets an integer id, and each symbol applied to interned arguments is
-    normalised once."""
-
-    def __init__(self, theory: Theory):
-        self.theory = theory
-        self.ids: dict[Message, int] = {}
-        self.terms: list[Message] = []
-        # (symbol, argument ids...) -> id of the normal form
-        self.apps: dict[tuple, int] = {}
-        # id(recipe list) -> (the list, kept so that its id stays unique; its shape)
-        self.shapes: dict[int, tuple[list, list]] = {}
-
-    def intern(self, m: Message) -> int:
-        """The id of the normal form of ``m``."""
-        nf = self.theory.normalize(m)
-        i = self.ids.get(nf)
-        if i is None:
-            i = self.ids[nf] = len(self.terms)
-            self.terms.append(nf)
-        return i
-
-    def shape(self, recipes: list) -> list:
-        """Per recipe: ``(symbol, argument positions)`` when it applies a
-        symbol to earlier recipes of the list, as every recipe of
-        ``recipe_enum`` above its atoms does; otherwise the recipe itself."""
-        hit = self.shapes.get(id(recipes))
-        if hit is not None:
-            return hit[1]
-        pos: dict[int, int] = {}
-        out: list = []
-        for k, r in enumerate(recipes):
-            if isinstance(r, App) and all(id(a) in pos for a in r.args):
-                out.append((r.fn, tuple(pos[id(a)] for a in r.args)))
-            else:
-                out.append(r)
-            pos.setdefault(id(r), k)
-        self.shapes[id(recipes)] = (recipes, out)
-        return out
-
-    def recipe_ids(self, recipes: list, frame) -> Iterator[int]:
-        """Normal-form ids of the recipes under the frame, in order, each
-        computed only when it is asked for."""
-        apps = self.apps
-        ids: list[int] = []
-        for entry in self.shape(recipes):
-            if isinstance(entry, tuple):
-                key = (entry[0], *map(ids.__getitem__, entry[1]))
-                i = apps.get(key)
-                if i is None:
-                    args = tuple(self.terms[a] for a in key[1:])
-                    i = apps[key] = self.intern(App(entry[0], args))
-            else:
-                i = self.intern(apply_msg_subst(entry, frame))
-            ids.append(i)
-            yield i
-
-
 def _renamed_frame(frame, rho: AliasMap) -> Substitution:
     """The frame seen through ``rho``: ``r`` under the result is ``rho(r)``
     under ``frame``."""
@@ -186,14 +129,10 @@ def _scan(
     recipes,
     theory: Theory,
     both_directions: bool,
-    table: NormalForms | None = None,
 ) -> StaticWitness | None:
-    if table is None:
-        table = NormalForms(theory)
-    elif table.theory is not theory:
-        raise ValueError("normal-form table belongs to another theory")
-    ids_a = table.recipe_ids(recipes, frame_a)
-    ids_b = table.recipe_ids(recipes, _renamed_frame(frame_b, rho))
+    table = theory.normal_forms
+    ids_a = table.recipe_ids(recipes, frame_a, theory.normalize)
+    ids_b = table.recipe_ids(recipes, _renamed_frame(frame_b, rho), theory.normalize)
     rep_a: dict = {}
     rep_b: dict = {}
     for k, (nf_a, nf_b) in enumerate(zip(ids_a, ids_b)):
@@ -219,13 +158,12 @@ def static_equiv_witness(
     signature: tuple[Symbol, ...],
     depth: int,
     theory: Theory,
-    table: NormalForms | None = None,
 ) -> StaticWitness | None:
     """A recipe pair separating the frames up to ``rho``, or ``None`` when
     they are statically equivalent at this depth.  The witness is minimal in
     the deterministic enumeration order."""
     recipes = recipe_enum(frame_a.domain, consts, signature, depth, theory)
-    return _scan(frame_a, frame_b, rho, recipes, theory, True, table)
+    return _scan(frame_a, frame_b, rho, recipes, theory, True)
 
 
 def static_impl_witness(
@@ -236,9 +174,8 @@ def static_impl_witness(
     signature: tuple[Symbol, ...],
     depth: int,
     theory: Theory,
-    table: NormalForms | None = None,
 ) -> StaticWitness | None:
     """One-directional variant: a pair satisfied by the left frame but not
     by the right, or ``None``."""
     recipes = recipe_enum(frame_a.domain, consts, signature, depth, theory)
-    return _scan(frame_a, frame_b, rho, recipes, theory, False, table)
+    return _scan(frame_a, frame_b, rho, recipes, theory, False)

@@ -267,7 +267,7 @@ def _close(o: POut, i: PIn) -> tuple[tuple[str, ...], Process]:
 def proc_transitions(p: Process, theory: Theory) -> tuple[tuple, bool]:
     """All structural firings of ``p``; the flag reports truncation from an
     exhausted replication budget."""
-    cache = theory.__dict__.setdefault("_proc_trans_cache", {})
+    cache = theory.structural
     hit = cache.get(p)
     if hit is not None:
         return hit
@@ -403,7 +403,7 @@ def enabled_transitions(
     Channels and input payloads range over recipes up to
     ``bounds.recipe_depth``; each output extends the frame at an alias
     rooted at the firing location's parallel prefix."""
-    cache = theory.__dict__.setdefault("_enabled_cache", {})
+    cache = theory.enabled
     key = (A, bounds, signature, consts)
     hit = cache.get(key)
     if hit is not None:

@@ -26,6 +26,7 @@ from .terms import (
     Symbol,
     Var,
     free_vars,
+    msg_symbols,
     rename_vars,
 )
 
@@ -144,14 +145,6 @@ def all_names(p: Process) -> frozenset[str]:
 
 
 def symbols_of(p: Process) -> frozenset[Symbol]:
-    def msg_syms(m: Message) -> frozenset[Symbol]:
-        if isinstance(m, App):
-            out = frozenset((m.fn,))
-            for a in m.args:
-                out |= msg_syms(a)
-            return out
-        return frozenset()
-
     if isinstance(p, Nil):
         return frozenset()
     if isinstance(p, (New, Bang)):
@@ -159,11 +152,11 @@ def symbols_of(p: Process) -> frozenset[Symbol]:
     if isinstance(p, (Par, Sum)):
         return symbols_of(p.left) | symbols_of(p.right)
     if isinstance(p, In):
-        return msg_syms(p.chan) | symbols_of(p.body)
+        return msg_symbols(p.chan) | symbols_of(p.body)
     if isinstance(p, Out):
-        return msg_syms(p.chan) | msg_syms(p.payload) | symbols_of(p.body)
+        return msg_symbols(p.chan) | msg_symbols(p.payload) | symbols_of(p.body)
     if isinstance(p, (Match, Mismatch)):
-        return msg_syms(p.lhs) | msg_syms(p.rhs) | symbols_of(p.body)
+        return msg_symbols(p.lhs) | msg_symbols(p.rhs) | symbols_of(p.body)
     raise TypeError(p)
 
 

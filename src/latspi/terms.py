@@ -11,7 +11,7 @@ oriented rules are terminating and confluent.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 
 class RewriteBudgetExceeded(Exception):
@@ -96,6 +96,16 @@ def free_aliases(m: Message) -> frozenset[Alias]:
     return out
 
 
+def msg_symbols(m: Message) -> frozenset[Symbol]:
+    """The function symbols occurring in ``m``."""
+    if not isinstance(m, App):
+        return frozenset()
+    out = frozenset((m.fn,))
+    for a in m.args:
+        out |= msg_symbols(a)
+    return out
+
+
 def msg_key(m: Message):
     """Deterministic total order on messages (for canonical enumeration)."""
     if isinstance(m, Var):
@@ -152,14 +162,23 @@ class Theory:
     def __init__(self, rules: Iterable[RewriteRule], step_budget: int = 10_000):
         self.rules = tuple(rules)
         self.step_budget = step_budget
-        self._cache: dict[Message, Message] = {}
+        # Every memo table of the package lives here: one theory is one
+        # cache scope, calls sharing it share their work, and the tables
+        # live as long as the theory does.
+        self._cache: dict[Message, Message] = {}  # message -> normal form
+        self.normal_forms = NormalForms()
+        # process -> its structural transitions (``lts.proc_transitions``)
+        self.structural: dict = {}
+        # (state, bounds, signature, consts) -> ``lts.enabled_transitions``
+        self.enabled: dict = {}
+        # (aliases, consts, signature, depth) -> ``knowledge.recipe_enum``
+        self.recipes: dict = {}
 
     def symbols(self) -> frozenset[Symbol]:
-        syms = set()
+        syms: frozenset[Symbol] = frozenset()
         for r in self.rules:
-            for side in (r.lhs, r.rhs):
-                syms |= _symbols_of(side)
-        return frozenset(syms)
+            syms |= msg_symbols(r.lhs) | msg_symbols(r.rhs)
+        return syms
 
     def normalize(self, m: Message) -> Message:
         cached = self._cache.get(m)
@@ -200,16 +219,63 @@ class Theory:
         return self.normalize(m) == self.normalize(n)
 
 
-def _symbols_of(m: Message) -> set[Symbol]:
-    if not isinstance(m, App):
-        return set()
-    out = {m.fn}
-    for a in m.args:
-        out |= _symbols_of(a)
-    return out
+class NormalForms:
+    """Hash-consed normal forms of one theory: each distinct normal form
+    gets an integer id, and each symbol applied to interned arguments is
+    normalised once."""
 
+    def __init__(self):
+        self.ids: dict[Message, int] = {}
+        self.terms: list[Message] = []
+        # (symbol, argument ids...) -> id of the normal form
+        self.apps: dict[tuple, int] = {}
+        # id(recipe list) -> (the list, kept so that its id stays unique; its shape)
+        self.shapes: dict[int, tuple[list, list]] = {}
 
-EMPTY_THEORY = Theory(())
+    def intern(self, nf: Message) -> int:
+        """The id of the normal form ``nf``."""
+        i = self.ids.get(nf)
+        if i is None:
+            i = self.ids[nf] = len(self.terms)
+            self.terms.append(nf)
+        return i
+
+    def shape(self, recipes: list) -> list:
+        """Per recipe: ``(symbol, argument positions)`` when it applies a
+        symbol to earlier recipes of the list, as every recipe of
+        ``recipe_enum`` above its atoms does; otherwise the recipe itself."""
+        hit = self.shapes.get(id(recipes))
+        if hit is not None:
+            return hit[1]
+        pos: dict[int, int] = {}
+        out: list = []
+        for k, r in enumerate(recipes):
+            if isinstance(r, App) and all(id(a) in pos for a in r.args):
+                out.append((r.fn, tuple(pos[id(a)] for a in r.args)))
+            else:
+                out.append(r)
+            pos.setdefault(id(r), k)
+        self.shapes[id(recipes)] = (recipes, out)
+        return out
+
+    def recipe_ids(self, recipes: list, frame, normalize) -> Iterator[int]:
+        """Normal-form ids of the recipes under the frame, in order, each
+        computed only when it is asked for.  ``normalize`` is the owning
+        theory's: the table keeps no reference back to the theory, so a
+        dropped theory is freed at once, not by the cycle collector."""
+        apps = self.apps
+        ids: list[int] = []
+        for entry in self.shape(recipes):
+            if isinstance(entry, tuple):
+                key = (entry[0], *map(ids.__getitem__, entry[1]))
+                i = apps.get(key)
+                if i is None:
+                    args = tuple(self.terms[a] for a in key[1:])
+                    i = apps[key] = self.intern(normalize(App(entry[0], args)))
+            else:
+                i = self.intern(normalize(apply_msg_subst(entry, frame)))
+            ids.append(i)
+            yield i
 
 
 # --- substitutions ---------------------------------------------------------
@@ -267,18 +333,6 @@ def apply_msg_subst(m: Message, s: Substitution) -> Message:
     return App(m.fn, tuple(apply_msg_subst(a, s) for a in m.args))
 
 
-def compose(s1: Substitution, s2: Substitution) -> Substitution:
-    """Apply ``s1`` then ``s2``: ``m (s1 o s2) = (m s1) s2``."""
-    out = {a: apply_msg_subst(m, s2) for a, m in s1.mapping.items()}
-    for a, m in s2.mapping.items():
-        out.setdefault(a, m)
-    return Substitution(out)
-
-
-def restrict(s: Substitution, dom: frozenset[Alias] | set[Alias]) -> Substitution:
-    return Substitution({a: m for a, m in s.mapping.items() if a in dom})
-
-
 class AliasMap:
     """A finite injective map from aliases to aliases."""
 
@@ -316,12 +370,6 @@ class AliasMap:
         new = dict(self.mapping)
         new[a] = b
         return AliasMap(new)
-
-    def restrict(self, dom: frozenset[Alias]) -> "AliasMap":
-        return AliasMap({a: b for a, b in self.mapping.items() if a in dom})
-
-    def inverse(self) -> "AliasMap":
-        return AliasMap({b: a for a, b in self.mapping.items()})
 
     def __str__(self):
         if not self.mapping:

@@ -34,7 +34,7 @@ from latspi.lts import (
 )
 from latspi.knowledge import satisfies
 from latspi.syntax import from_process, parse_process, prime_bangs, struct_congruent
-from latspi.terms import Alias, EMPTY_THEORY, Substitution, Var, app
+from latspi.terms import Alias, Substitution, Theory, Var, app
 
 CASES = {c.name: c for c in load_corpus()}
 
@@ -77,7 +77,7 @@ def iter_nodes(node):
 
 def test_criterion_01_lts_shape():
     p = prime_bangs(parse_process("new x.(out(a, x) | out(b, h(x)))"), 2)
-    theory = EMPTY_THEORY
+    theory = Theory(())
     signature = build_signature(theory, p)
     consts = default_consts(p)
     bounds = replace(FIN, recipe_depth=0)
@@ -100,11 +100,11 @@ def test_criterion_01_lts_shape():
 def test_criterion_02_satisfaction():
     L, L0, L1 = Alias("", "l"), Alias("0", "l"), Alias("1", "l")
     linked = Substitution({L0: Var("%0"), L1: app("h", Var("%0"))})
-    assert satisfies(linked, app("h", L0), L1, EMPTY_THEORY)
+    assert satisfies(linked, app("h", L0), L1, Theory(()))
     public = Substitution({L: Var("x")})
     private = Substitution({L: Var("%0")})
-    assert satisfies(public, L, Var("x"), EMPTY_THEORY)
-    assert not satisfies(private, L, Var("x"), EMPTY_THEORY)
+    assert satisfies(public, L, Var("x"), Theory(()))
+    assert not satisfies(private, L, Var("x"), Theory(()))
     passed(2, "frame satisfaction distinguishes disclosed from restricted payloads")
 
 

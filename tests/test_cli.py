@@ -7,6 +7,7 @@ import pytest
 
 from latspi.cli import main, parse_bounds
 from latspi.knowledge import RecipeLimitExceeded
+from latspi.lts import ExplorationBounds
 from latspi.terms import RewriteBudgetExceeded
 
 
@@ -47,8 +48,9 @@ def test_parse_bounds_rejects_unknown():
 
 
 def test_state_budget_env(monkeypatch):
+    # the state cap is set by ``budget=N`` only; the environment is not read
     monkeypatch.setenv("LATSPI_STATE_BUDGET", "7")
-    assert parse_bounds(None).state_budget == 7
+    assert parse_bounds(None).state_budget == ExplorationBounds().state_budget
     assert parse_bounds("budget=9").state_budget == 9
 
 
@@ -248,6 +250,17 @@ def test_resource_limit_exits_two(files, capsys, monkeypatch, exc):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and str(exc) in err
+
+
+@pytest.mark.parametrize("command", ["parse", "check"])
+def test_deep_input_exits_two(files, capsys, command):
+    # nesting deeper than the recursion limit is a resource limit, not a
+    # refutation, which exit 1 would report
+    deep = files("deep.pi", ".".join(f"out(a, m{i})" for i in range(3000)))
+    argv = ("parse", deep) if command == "parse" else ("check", "sim-i", deep, deep)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: resource limit hit: ") and "Traceback" not in err
 
 
 def test_corpus_failure_is_reported_not_crash(files, capsys):

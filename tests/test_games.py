@@ -1,8 +1,12 @@
 """Behavioural relation games: verdicts, witnesses, and cross-checks."""
 
+import gc
+import weakref
+
 import pytest
 
-from latspi.corpus import DISTINGUISHED, load_corpus, run_case, verdict_class
+from latspi.cli import load_theory
+from latspi.corpus import DISTINGUISHED, case_theory, load_corpus, run_case, verdict_class
 from latspi.games import (
     FailureNode,
     LeadNode,
@@ -13,12 +17,13 @@ from latspi.games import (
 )
 from latspi.lts import ExplorationBounds
 from latspi.syntax import parse_process
-from latspi.terms import EMPTY_THEORY, dolev_yao
+from latspi.terms import Theory, dolev_yao
 
 B = ExplorationBounds(recipe_depth=1, static_depth=1, repl_unfold=2, game_depth=12)
 
 
-def V(rel, left, right, bounds=B, theory=EMPTY_THEORY, **kw):
+def V(rel, left, right, bounds=B, theory=None, **kw):
+    theory = Theory(()) if theory is None else theory
     return check(rel, parse_process(left), parse_process(right), bounds, theory, **kw)
 
 
@@ -93,13 +98,13 @@ def test_witness_replays():
     left = "new x.out(a,x) | new x.out(a,x)"
     right = "new x.out(a,x).new x.out(a,x)"
     v = V(Rel.SIM_ST, left, right)
-    assert witness_replay(v, parse_process(left), parse_process(right), EMPTY_THEORY)
+    assert witness_replay(v, parse_process(left), parse_process(right), Theory(()))
 
 
 def test_related_verdicts_do_not_replay():
     src = "out(a, m)"
     v = V(Rel.SIM_I, src, src)
-    assert not witness_replay(v, parse_process(src), parse_process(src), EMPTY_THEORY)
+    assert not witness_replay(v, parse_process(src), parse_process(src), Theory(()))
 
 
 def test_verdicts_deterministic():
@@ -164,3 +169,28 @@ def test_game_depth_taint():
         bounds=ExplorationBounds(recipe_depth=0, static_depth=0, repl_unfold=1, game_depth=2),
     )
     assert v.related and not v.exact  # cut off before the game finished
+
+
+# --- one theory, one cache scope -------------------------------------------
+
+
+@pytest.mark.parametrize("spec", ["empty", None])
+def test_load_theory_builds_a_theory_per_call(spec):
+    assert load_theory(spec) is not load_theory(spec)
+
+
+def test_case_theory_builds_a_theory_per_call():
+    case = next(c for c in load_corpus() if c.theory == "empty")
+    assert case_theory(case) is not case_theory(case)
+
+
+def test_tables_die_with_their_theory():
+    theory = Theory(())
+    p, q = parse_process("new x.out(a, x)"), parse_process("out(a, m)")
+    v = check(Rel.SIM_I, p, q, B, theory)
+    assert isinstance(v.witness, LeadNode) and witness_replay(v, p, q, theory)
+    assert theory.enabled and theory.recipes and theory.normal_forms.terms
+    ref = weakref.ref(theory)
+    del theory
+    gc.collect()
+    assert ref() is None

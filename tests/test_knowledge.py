@@ -3,7 +3,6 @@
 from hypothesis import given, settings, strategies as st
 
 from latspi.knowledge import (
-    NormalForms,
     StaticWitness,
     recipe_enum,
     satisfies,
@@ -17,12 +16,12 @@ from latspi.terms import (
     ID_ALIAS,
     Substitution,
     Symbol,
+    Theory,
     Var,
     apply_msg_subst,
     app,
     rename_vars,
     dolev_yao,
-    EMPTY_THEORY,
 )
 
 L = Alias("", "l")
@@ -37,7 +36,7 @@ PAIR = Symbol("pair", 2)
 
 def test_recipe_enum_counts_unary():
     # atoms {l, a}; one unary symbol: depth d adds 2 recipes per level
-    rs = recipe_enum(frozenset({L}), frozenset({"a"}), (H,), 2, EMPTY_THEORY)
+    rs = recipe_enum(frozenset({L}), frozenset({"a"}), (H,), 2, Theory(()))
     assert len(rs) == 6
     assert set(map(str, rs)) == {"l", "a", "h(l)", "h(a)", "h(h(l))", "h(h(a))"}
 
@@ -52,8 +51,8 @@ def test_recipe_enum_dedups_modulo_theory():
 
 
 def test_recipe_enum_deterministic():
-    rs1 = recipe_enum(frozenset({L0, L1}), frozenset({"a"}), (H,), 1, EMPTY_THEORY)
-    rs2 = recipe_enum(frozenset({L0, L1}), frozenset({"a"}), (H,), 1, EMPTY_THEORY)
+    rs1 = recipe_enum(frozenset({L0, L1}), frozenset({"a"}), (H,), 1, Theory(()))
+    rs2 = recipe_enum(frozenset({L0, L1}), frozenset({"a"}), (H,), 1, Theory(()))
     assert rs1 == rs2
 
 
@@ -63,14 +62,14 @@ def test_recipe_enum_deterministic():
 def test_satisfaction_of_hash_link():
     # {0l -> x, 1l -> h(x)} under a restricted x satisfies h(0l) = 1l
     frame = Substitution({L0: Var("%0"), L1: app("h", Var("%0"))})
-    assert satisfies(frame, app("h", L0), L1, EMPTY_THEORY)
+    assert satisfies(frame, app("h", L0), L1, Theory(()))
 
 
 def test_satisfaction_distinguishes_public_from_private():
     public = Substitution({L: Var("x")})
     private = Substitution({L: Var("%0")})
-    assert satisfies(public, L, Var("x"), EMPTY_THEORY)
-    assert not satisfies(private, L, Var("x"), EMPTY_THEORY)
+    assert satisfies(public, L, Var("x"), Theory(()))
+    assert not satisfies(private, L, Var("x"), Theory(()))
 
 
 def test_satisfaction_modulo_theory():
@@ -85,7 +84,7 @@ def test_satisfaction_modulo_theory():
 def test_static_witness_public_vs_private():
     left = Substitution({L: Var("x")})
     right = Substitution({L: Var("%0")})
-    w = static_equiv_witness(left, right, ID_ALIAS, frozenset({"x"}), (), 1, EMPTY_THEORY)
+    w = static_equiv_witness(left, right, ID_ALIAS, frozenset({"x"}), (), 1, Theory(()))
     assert w is not None
     assert {str(w.m), str(w.n)} == {"l", "x"}
     assert w.holds_left and not w.holds_right
@@ -94,7 +93,7 @@ def test_static_witness_public_vs_private():
 def test_static_witness_minimal_and_deterministic():
     left = Substitution({L: Var("x")})
     right = Substitution({L: Var("%0")})
-    args = (left, right, ID_ALIAS, frozenset({"x"}), (H,), 2, EMPTY_THEORY)
+    args = (left, right, ID_ALIAS, frozenset({"x"}), (H,), 2, Theory(()))
     assert static_equiv_witness(*args) == static_equiv_witness(*args)
 
 
@@ -102,8 +101,8 @@ def test_static_implication_is_one_directional():
     # right satisfies l = x but left does not: implication left-to-right holds
     left = Substitution({L: Var("%0")})
     right = Substitution({L: Var("x")})
-    assert static_impl_witness(left, right, ID_ALIAS, frozenset({"x"}), (), 1, EMPTY_THEORY) is None
-    assert static_equiv_witness(left, right, ID_ALIAS, frozenset({"x"}), (), 1, EMPTY_THEORY) is not None
+    assert static_impl_witness(left, right, ID_ALIAS, frozenset({"x"}), (), 1, Theory(())) is None
+    assert static_equiv_witness(left, right, ID_ALIAS, frozenset({"x"}), (), 1, Theory(())) is not None
 
 
 def test_random_nonce_indistinguishable_from_ciphertext():
@@ -131,7 +130,7 @@ def test_alias_bijection_applied_to_right():
     rho = ID_ALIAS.extend(L0, L1)
     left = Substitution({L0: Var("x")})
     right = Substitution({L1: Var("x")})
-    assert static_equiv_witness(left, right, rho, frozenset({"x"}), (), 1, EMPTY_THEORY) is None
+    assert static_equiv_witness(left, right, rho, frozenset({"x"}), (), 1, Theory(())) is None
 
 
 # --- agreement with the term-level scan ------------------------------------
@@ -207,10 +206,9 @@ def _static_problems(draw):
     return frame_a, frame_b, rho, consts, depth
 
 
-# one theory and one table for every example, as a checker shares its table
-# across the static tests of one game
+# one theory, and so one table, for every example, as the static tests of a
+# game and its replay share theirs
 _DY = dolev_yao()
-_TABLE = NormalForms(_DY)
 
 
 @settings(max_examples=60, deadline=None)
@@ -219,10 +217,10 @@ def test_interned_scan_matches_term_scan(problem):
     frame_a, frame_b, rho, consts, depth = problem
     recipes = recipe_enum(frame_a.domain, consts, DY_SIGNATURE, depth, _DY)
     keys = set(_DY.__dict__)
-    args = (frame_a, frame_b, rho, consts, DY_SIGNATURE, depth, _DY)
+    args = (frame_a, frame_b, rho, consts, DY_SIGNATURE, depth)
     equiv = _reference_scan(frame_a, frame_b, rho, recipes, _DY, True)
     impl = _reference_scan(frame_a, frame_b, rho, recipes, _DY, False)
-    assert static_equiv_witness(*args) == equiv  # a fresh table
-    assert static_equiv_witness(*args, _TABLE) == equiv
-    assert static_impl_witness(*args, _TABLE) == impl
+    assert static_equiv_witness(*args, dolev_yao()) == equiv  # a fresh table
+    assert static_equiv_witness(*args, _DY) == equiv
+    assert static_impl_witness(*args, _DY) == impl
     assert set(_DY.__dict__) == keys

@@ -11,13 +11,14 @@ from latspi.lts import (
     reachable_lts,
 )
 from latspi.syntax import from_process, parse_process, prime_bangs, struct_congruent
-from latspi.terms import EMPTY_THEORY, dolev_yao
+from latspi.terms import Theory, dolev_yao
 
 B1 = ExplorationBounds(recipe_depth=1, static_depth=1, repl_unfold=2, game_depth=12)
 B0 = ExplorationBounds(recipe_depth=0, static_depth=1, repl_unfold=2, game_depth=12)
 
 
-def setup(src, theory=EMPTY_THEORY, bounds=B1):
+def setup(src, theory=None, bounds=B1):
+    theory = Theory(()) if theory is None else theory
     p = prime_bangs(parse_process(src), bounds.repl_unfold)
     signature = build_signature(theory, p)
     consts = default_consts(p)

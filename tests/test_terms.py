@@ -14,7 +14,6 @@ from latspi.terms import (
     TheoryError,
     Var,
     apply_msg_subst,
-    compose,
     dolev_yao,
     free_aliases,
     free_vars,
@@ -22,7 +21,6 @@ from latspi.terms import (
     parse_message,
     parse_theory,
     rename_vars,
-    restrict,
 )
 
 
@@ -113,29 +111,12 @@ def test_substitution_apply_and_extend():
         s.extend(a, Var("y"))
 
 
-def test_substitution_compose_order():
-    a, b = Alias("0", "l"), Alias("1", "l")
-    s1 = Substitution({a: App(Symbol("h", 1), (b,))})
-    s2 = Substitution({b: Var("x")})
-    composed = compose(s1, s2)
-    # s1 then s2: the alias in s1's range is resolved by s2
-    assert composed(a) == App(Symbol("h", 1), (Var("x"),))
-    assert composed(b) == Var("x")
-
-
-def test_substitution_restrict():
-    a, b = Alias("0", "l"), Alias("1", "l")
-    s = Substitution({a: Var("x"), b: Var("y")})
-    assert restrict(s, {a}).domain == {a}
-
-
 def test_alias_map_injective():
     a, b, c = Alias("0", "l"), Alias("1", "l"), Alias("", "l")
     with pytest.raises(ValueError):
         AliasMap({a: c, b: c})
     rho = AliasMap({a: b})
     assert rho(a) == b
-    assert rho.inverse()(b) == a
     with pytest.raises(ValueError):
         rho.extend(c, b)
 
