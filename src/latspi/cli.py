@@ -388,27 +388,37 @@ def cmd_corpus(args) -> int:
     return 0 if report["failed"] == 0 else 1
 
 
+def _field(node, key: str):
+    """``node[key]`` of a witness file's JSON object, or a ``CliError``."""
+    if not isinstance(node, dict) or key not in node:
+        raise CliError(f"malformed witness file: no {key!r} in {node!r}")
+    return node[key]
+
+
 def _narrate(node: dict, depth: int, out: list) -> None:
     pad = "  " * depth
-    kind = node.get("kind")
+    kind = _field(node, "kind")
     if kind == "static":
         sides = {
             (True, False): "holds on the left only",
             (False, True): "holds on the right only",
-        }.get((node["holds_left"], node["holds_right"]), "separates the frames")
-        out.append(f"{pad}static test {node['m']} = {node['n']} {sides}")
+        }.get((_field(node, "holds_left"), _field(node, "holds_right")), "separates the frames")
+        out.append(f"{pad}static test {_field(node, 'm')} = {_field(node, 'n')} {sides}")
     elif kind == "failure":
         out.append(
-            f"{pad}the right side enables {node['event']}, "
+            f"{pad}the right side enables {_field(node, 'event')}, "
             "which the left side cannot mirror under its running-event constraints"
         )
     elif kind == "lead":
-        out.append(f"{pad}the {node['side']} side leads with {node['event']}")
-        if not node["replies"]:
+        out.append(f"{pad}the {_field(node, 'side')} side leads with {_field(node, 'event')}")
+        replies = _field(node, "replies")
+        if not isinstance(replies, list):
+            raise CliError(f"malformed witness file: replies are not a list: {replies!r}")
+        if not replies:
             out.append(f"{pad}  no legal answer exists on the other side")
-        for r in node["replies"]:
-            out.append(f"{pad}  answer {r['event']} is refuted:")
-            _narrate(r["child"], depth + 2, out)
+        for r in replies:
+            out.append(f"{pad}  answer {_field(r, 'event')} is refuted:")
+            _narrate(_field(r, "child"), depth + 2, out)
     else:
         raise CliError(f"malformed witness node: {node!r}")
 
@@ -416,10 +426,12 @@ def _narrate(node: dict, depth: int, out: list) -> None:
 def cmd_explain(args) -> int:
     with open(args.file) as f:
         data = json.load(f)
+    if not isinstance(data, dict):
+        raise CliError(f"malformed witness file: not a JSON object: {data!r}")
     if data.get("witness") is None:
         print(f"{data.get('relation', 'verdict')}: related; nothing to explain")
         return 0
-    out = [f"{data['relation']}: distinguished"]
+    out = [f"{_field(data, 'relation')}: distinguished"]
     _narrate(data["witness"], 0, out)
     print("\n".join(out))
     return 0

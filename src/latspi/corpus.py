@@ -56,7 +56,17 @@ def bounds_from_dict(d: dict) -> ExplorationBounds:
     )
 
 
+_CASE_FIELDS = ("name", "left", "right", "relation", "expected")
+
+
 def case_from_dict(d: dict) -> CorpusCase:
+    """A case from its JSON object; a missing field raises ``ValueError``
+    naming the case and the field."""
+    if not isinstance(d, dict):
+        raise ValueError(f"corpus case is not a JSON object: {d!r}")
+    for field in _CASE_FIELDS:
+        if field not in d:
+            raise ValueError(f"corpus case {d.get('name', '<unnamed>')!r}: missing field {field!r}")
     return CorpusCase(
         name=d["name"],
         left=d["left"],
@@ -76,7 +86,10 @@ def load_corpus(path: str | None = None) -> list[CorpusCase]:
     else:
         with open(path) as f:
             text = f.read()
-    return [case_from_dict(d) for d in json.loads(text)["cases"]]
+    data = json.loads(text)
+    if not isinstance(data, dict) or not isinstance(data.get("cases"), list):
+        raise ValueError("corpus file must be a JSON object with a 'cases' list")
+    return [case_from_dict(d) for d in data["cases"]]
 
 
 def verdict_class(v: Verdict) -> str:

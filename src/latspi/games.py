@@ -13,7 +13,9 @@ Relations differ in who may lead, in how the remembered pairs constrain
 answers, and in whether an extra enabledness round (a failure test) is
 available to the attacker.  Since every transition consumes a prefix or a
 replication budget, the bounded game tree is finite and is explored by a
-memoized AND-OR search.
+memoized AND-OR search.  Configurations are memoized on the ids of the
+congruence classes of their two states, which the theory interns, so each
+distinct state is canonicalised once however many checks share the theory.
 """
 
 from __future__ import annotations
@@ -157,6 +159,17 @@ class Checker:
         self.tainted = False
 
     # -- primitives --
+
+    def class_id(self, state: ExtendedProcess) -> int:
+        """Id of the state's congruence class.  The theory's table maps each
+        state, and each congruence key (a fixed point of ``congruence_key``),
+        to the id, so every distinct state is canonicalised once per theory."""
+        classes = self.theory.classes
+        i = classes.get(state)
+        if i is None:
+            i = classes.setdefault(congruence_key(state), len(classes))
+            classes[state] = i
+        return i
 
     def transitions(self, state: ExtendedProcess) -> TransitionSet:
         tset = enabled_transitions(state, self.bounds, self.theory, self.signature, self.consts)
@@ -310,8 +323,8 @@ class Checker:
         """Refutation of the configuration, or ``None`` when related within
         bounds."""
         key = (
-            congruence_key(cfg.left),
-            congruence_key(cfg.right),
+            self.class_id(cfg.left),
+            self.class_id(cfg.right),
             cfg.rho.key(),
             _pairs_key(cfg.pairs),
         )

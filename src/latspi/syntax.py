@@ -497,6 +497,15 @@ class ExtendedProcess:
     frame: Substitution
     body: Process
 
+    def __hash__(self):
+        # states key the theory's tables; hash each process tree once
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.binders, self.frame, self.body))
+            object.__setattr__(self, "_hash", h)
+            return h
+
     def __str__(self):
         inner = f"{self.frame} | {to_text(self.body)}"
         if self.binders:

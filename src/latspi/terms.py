@@ -173,6 +173,8 @@ class Theory:
         self.enabled: dict = {}
         # (aliases, consts, signature, depth) -> ``knowledge.recipe_enum``
         self.recipes: dict = {}
+        # game state -> id of its congruence class (``games.Checker.class_id``)
+        self.classes: dict = {}
 
     def symbols(self) -> frozenset[Symbol]:
         syms: frozenset[Symbol] = frozenset()

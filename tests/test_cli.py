@@ -282,3 +282,37 @@ def test_corpus_failure_is_reported_not_crash(files, capsys):
     )
     code, out, _ = run(capsys, "corpus", "--path", sub)
     assert code == 1 and "FAIL broken" in out
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        {"relation": "sim-i", "witness": {"kind": "static"}},
+        {"witness": {"kind": "failure", "event": "e"}},
+        [1],
+    ],
+    ids=["static-without-fields", "without-relation", "not-an-object"],
+)
+def test_explain_malformed_witness_exits_two(files, capsys, content):
+    wit = files("w.json", json.dumps(content))
+    code, out, err = run(capsys, "explain", wit)
+    assert code == 2 and out == ""
+    assert err.startswith("error: malformed witness file") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "content, missing",
+    [
+        ({"tests": []}, "'cases'"),
+        (
+            {"cases": [{"name": "half", "relation": "sim-i", "expected": "RELATED_EXACT", "left": "0"}]},
+            "'half': missing field 'right'",
+        ),
+    ],
+    ids=["without-cases", "case-without-right"],
+)
+def test_corpus_malformed_file_exits_two(files, capsys, content, missing):
+    sub = files("bad.json", json.dumps(content))
+    code, out, err = run(capsys, "corpus", "--path", sub)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and missing in err

@@ -5,6 +5,7 @@ import weakref
 
 import pytest
 
+from latspi import games
 from latspi.cli import load_theory
 from latspi.corpus import DISTINGUISHED, case_theory, load_corpus, run_case, verdict_class
 from latspi.games import (
@@ -16,8 +17,8 @@ from latspi.games import (
     witness_replay,
 )
 from latspi.lts import ExplorationBounds
-from latspi.syntax import parse_process
-from latspi.terms import Theory, dolev_yao
+from latspi.syntax import ExtendedProcess, congruence_key, parse_process
+from latspi.terms import Alias, Substitution, Theory, Var, app, dolev_yao
 
 B = ExplorationBounds(recipe_depth=1, static_depth=1, repl_unfold=2, game_depth=12)
 
@@ -189,8 +190,57 @@ def test_tables_die_with_their_theory():
     p, q = parse_process("new x.out(a, x)"), parse_process("out(a, m)")
     v = check(Rel.SIM_I, p, q, B, theory)
     assert isinstance(v.witness, LeadNode) and witness_replay(v, p, q, theory)
-    assert theory.enabled and theory.recipes and theory.normal_forms.terms
+    assert theory.enabled and theory.recipes and theory.normal_forms.terms and theory.classes
     ref = weakref.ref(theory)
     del theory
     gc.collect()
     assert ref() is None
+
+
+# --- congruence-class ids --------------------------------------------------
+
+
+def test_each_state_is_canonicalised_once_per_theory(monkeypatch):
+    # the 13 relations and their replays on one pair share one theory
+    case = next(c for c in load_corpus() if c.name == "fresh-vs-hash-sim-hp")
+    seen = []
+
+    def counting(state):
+        seen.append(state)
+        return congruence_key(state)
+
+    monkeypatch.setattr(games, "congruence_key", counting)
+    p, q = parse_process(case.left), parse_process(case.right)
+    theory = case_theory(case)
+    for rel in Rel:
+        v = check(rel, p, q, case.bounds, theory)
+        assert v.related or witness_replay(v, p, q, theory)
+    assert seen and len(seen) == len(set(seen))  # no state canonicalised twice
+    assert set(seen) <= theory.classes.keys()
+    classes = set(theory.classes.values())
+    assert len(classes) == len({congruence_key(s) for s in seen}) < len(seen)
+
+
+def test_class_ids_agree_with_congruence_keys():
+    case = next(c for c in load_corpus() if c.name == "error-reveal-sim-st")
+    theory = case_theory(case)
+    check(case.relation, parse_process(case.left), parse_process(case.right), case.bounds, theory)
+    states = list(theory.classes.items())
+    keys = [congruence_key(s) for s, _ in states]
+    assert len(set(i for _, i in states)) < len(states)  # some classes hold several states
+    for (s, i), k in zip(states, keys):
+        for (t, j), l in zip(states, keys):
+            assert (i == j) == (k == l), (s, t)
+
+
+def test_equal_states_hash_equal_before_and_after_caching():
+    def build():
+        frame = Substitution({Alias("0", "l"): app("h", Var("n"))})
+        return ExtendedProcess(("n",), frame, parse_process("out(a, n) | in(b, x)"))
+
+    a, b = build(), build()
+    assert a is not b and a == b
+    assert hash(a) == hash(b)  # neither cached before this line
+    assert hash(a) == hash(b) == hash(build())  # cached, cached, fresh
+    assert hash(a) == hash((a.binders, a.frame, a.body))  # the field-wise hash
+    assert {a: 1}[build()] == 1
