@@ -14,8 +14,13 @@ answers, and in whether an extra enabledness round (a failure test) is
 available to the attacker.  Since every transition consumes a prefix or a
 replication budget, the bounded game tree is finite and is explored by a
 memoized AND-OR search.  Configurations are memoized on the ids of the
-congruence classes of their two states, which the theory interns, so each
-distinct state is canonicalised once however many checks share the theory.
+congruence classes of their two states, which the theory interns
+(``lts.state_class``), so each distinct state is canonicalised once however
+many checks share the theory.  Successor configurations hold the raw
+residuals of the moves that reach them; a configuration is decided, and
+replayed, on the representatives of its two classes, so a successor is
+canonicalised only when the search visits it, and transitions and static
+tests are computed once per class.
 """
 
 from __future__ import annotations
@@ -35,12 +40,13 @@ from .lts import (
     default_consts,
     enabled_transitions,
     event_key,
+    representative,
+    state_class,
 )
 from .syntax import (
     ExtendedProcess,
     Process,
     alpha_canonical,
-    congruence_key,
     from_process,
     prime_bangs,
     symbols_of,
@@ -94,6 +100,16 @@ class GameConfig:
 
 def _pairs_key(pairs):
     return tuple(sorted((event_key(a), event_key(b)) for a, b in pairs))
+
+
+def _pair_order(pair):
+    return event_key(pair[0]), event_key(pair[1])
+
+
+def _ordered(pairs) -> list:
+    """Remembered pairs in ``event_key`` order, so that scans which stop at
+    the first failing pair make the same calls under any hash seed."""
+    return sorted(pairs, key=_pair_order) if len(pairs) > 1 else list(pairs)
 
 
 # --- witness trees ---------------------------------------------------------
@@ -160,19 +176,10 @@ class Checker:
 
     # -- primitives --
 
-    def class_id(self, state: ExtendedProcess) -> int:
-        """Id of the state's congruence class.  The theory's table maps each
-        state, and each congruence key (a fixed point of ``congruence_key``),
-        to the id, so every distinct state is canonicalised once per theory."""
-        classes = self.theory.classes
-        i = classes.get(state)
-        if i is None:
-            i = classes.setdefault(congruence_key(state), len(classes))
-            classes[state] = i
-        return i
-
     def transitions(self, state: ExtendedProcess) -> TransitionSet:
-        tset = enabled_transitions(state, self.bounds, self.theory, self.signature, self.consts)
+        """Transitions of the representative of the state's class."""
+        rep = representative(state, self.theory)
+        tset = enabled_transitions(rep, self.bounds, self.theory, self.signature, self.consts)
         if tset.tainted:
             self.tainted = True
         return tset
@@ -223,31 +230,37 @@ class Checker:
     # -- round structure --
 
     def leader_contexts(self, cfg: GameConfig, side: str, event: Event):
-        """Per-family context chosen by the leader alongside a transition."""
+        """Per-family context chosen by the leader alongside a transition;
+        its pairs are tuples in ``event_key`` order."""
         j = 0 if side == "left" else 1
         family = self.rel.family
-        if family == "none" or family == "ind":
+        if family == "none":
             yield None
             return
-        keep = frozenset(p for p in cfg.pairs if self.indep(p[j], event))
+        pairs = _ordered(cfg.pairs)
+        if family == "ind":
+            yield ("ind", pairs)
+            return
+        keep, drop = [], []
+        for p in pairs:
+            (keep if self.indep(p[j], event) else drop).append(p)
         if family == "st":
             if self.st_exhaustive:
-                items = sorted(keep, key=lambda p: (event_key(p[0]), event_key(p[1])))
-                for mask in range(1 << len(items)):
-                    yield ("st", frozenset(items[i] for i in range(len(items)) if mask >> i & 1))
+                for mask in range(1 << len(keep)):
+                    yield ("st", tuple(keep[i] for i in range(len(keep)) if mask >> i & 1))
             else:
-                yield ("st", keep)
+                yield ("st", tuple(keep))
         else:  # hp: the partition is forced
-            yield ("hp", keep, cfg.pairs - keep)
+            yield ("hp", tuple(keep), tuple(drop))
 
     def reply_ok(self, cfg: GameConfig, side: str, ctx, pair) -> bool:
         """Whether a candidate answer meets the independence constraints."""
         k = 1 if side == "left" else 0  # the follower's side of each pair
         reply_event = pair[k]
         if ctx is None:
-            if self.rel.family != "ind":
-                return True
-            for d in cfg.pairs:
+            return True
+        if ctx[0] == "ind":
+            for d in ctx[1]:
                 if self.cons_indep(pair[0], d[0]) != self.cons_indep(pair[1], d[1]):
                     return False
             return True
@@ -264,7 +277,7 @@ class Checker:
             return frozenset()
         if family == "ind":
             return cfg.pairs | {pair}
-        return ctx[1] | {pair}
+        return frozenset((*ctx[1], pair))
 
     def legal_replies(self, cfg: GameConfig, side: str, event: Event, target, ctx):
         """All follower answers to a leader move: pairs of the answering
@@ -273,7 +286,7 @@ class Checker:
         out = []
         # the follower may draw on phantom firings (beyond the replication
         # budget); the enclosing transition set is already tainted
-        for event2, target2 in ((s.event, s.target) for s in self.transitions(follower_state).steps):
+        for event2, target2 in ((s.event, s.residual) for s in self.transitions(follower_state).steps):
             if side == "left":
                 rho2 = self.match_label(event.action, event2.action, cfg.rho)
                 pair = (event, event2)
@@ -292,12 +305,14 @@ class Checker:
     def failure_witness(self, cfg: GameConfig) -> FailureNode | None:
         """Enabledness round of the failure similarities: find a constrained
         right transition whose label the left side cannot mirror."""
-        right_steps = [(s.event, s.target) for s in self.transitions(cfg.right).real_steps]
-        left_steps = [(s.event, s.target) for s in self.transitions(cfg.left).steps]
-        for event_r, _ in right_steps:
-            keep = frozenset(p for p in cfg.pairs if self.indep(p[1], event_r))
+        right_events = [s.event for s in self.transitions(cfg.right).real_steps]
+        left_events = [s.event for s in self.transitions(cfg.left).steps]
+        pairs = _ordered(cfg.pairs)
+        for event_r in right_events:
+            keep, drop = [], []
+            for p in pairs:
+                (keep if self.indep(p[1], event_r) else drop).append(p)
             if self.rel is Rel.FSIM_HP:
-                drop = cfg.pairs - keep
 
                 def ok(e_l):
                     return all(self.indep(p[0], e_l) for p in keep) and all(
@@ -311,7 +326,7 @@ class Checker:
 
             mirrored = any(
                 self.match_label(event_l.action, event_r.action, cfg.rho) is not None and ok(event_l)
-                for event_l, _ in left_steps
+                for event_l in left_events
             )
             if not mirrored:
                 return FailureNode(event_r)
@@ -321,23 +336,23 @@ class Checker:
 
     def run(self, cfg: GameConfig, depth: int = 0):
         """Refutation of the configuration, or ``None`` when related within
-        bounds."""
-        key = (
-            self.class_id(cfg.left),
-            self.class_id(cfg.right),
-            cfg.rho.key(),
-            _pairs_key(cfg.pairs),
-        )
+        bounds.  The configuration is decided on its class representatives."""
+        left = state_class(cfg.left, self.theory)
+        right = state_class(cfg.right, self.theory)
+        key = (left, right, cfg.rho.key(), _pairs_key(cfg.pairs))
         if key in self.memo:
             return self.memo[key]
         if key in self.stack:
+            # related only under the open assumption of an enclosing search
+            self.tainted = True
             return None
         if depth >= self.bounds.game_depth:
             self.tainted = True
             return None
         self.stack.add(key)
+        reps = self.theory.reps
         try:
-            node = self._decide(cfg, depth)
+            node = self._decide(GameConfig(reps[left], reps[right], cfg.rho, cfg.pairs), depth)
         finally:
             self.stack.discard(key)
         self.memo[key] = node
@@ -354,7 +369,7 @@ class Checker:
         sides = ("left", "right") if self.rel.is_bisim else ("left",)
         for side in sides:
             leader_state = cfg.left if side == "left" else cfg.right
-            for event, target in ((s.event, s.target) for s in self.transitions(leader_state).real_steps):
+            for event, target in ((s.event, s.residual) for s in self.transitions(leader_state).real_steps):
                 for ctx in self.leader_contexts(cfg, side, event):
                     replies = self.legal_replies(cfg, side, event, target, ctx)
                     refutations = []
@@ -441,6 +456,10 @@ def witness_replay(
 
 
 def _replay_node(checker: Checker, cfg: GameConfig, node) -> bool:
+    theory = checker.theory
+    cfg = GameConfig(
+        representative(cfg.left, theory), representative(cfg.right, theory), cfg.rho, cfg.pairs
+    )
     if isinstance(node, StaticNode):
         w = checker.static_witness(cfg)
         return (
@@ -461,7 +480,7 @@ def _replay_node(checker: Checker, cfg: GameConfig, node) -> bool:
         if node.side == "right" and not checker.rel.is_bisim:
             return False
         leader_state = cfg.left if node.side == "left" else cfg.right
-        for event, target in ((s.event, s.target) for s in checker.transitions(leader_state).real_steps):
+        for event, target in ((s.event, s.residual) for s in checker.transitions(leader_state).real_steps):
             if event != node.event:
                 continue
             for ctx in checker.leader_contexts(cfg, node.side, event):

@@ -8,11 +8,22 @@ from synchronisation carry a pair of locations.  The top layer turns
 structural firings into environment-facing events: output payloads are
 hidden behind located aliases extending the frame, and channels and input
 payloads become recipes over the frame domain and the public names.
+
+Successors are built raw: a ``Step`` carries its ``residual`` with the
+transition-local binder names the structural layer chose, and its
+alpha-canonical ``target`` is computed on first read.  Most successors are
+never read, because a search stops at its first answer or refutation.  The
+theory interns congruence classes (``state_class``) and keeps one
+representative per class; the game expands representatives,
+``reachable_lts`` merges states by class, and ``diamond_check`` compares
+endpoints by class.  Only canonical states are expanded: a raw residual's
+``_i`` binders could clash with names extruded from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from . import knowledge
 from .terms import (
@@ -44,7 +55,6 @@ from .syntax import (
     congruence_key,
     free_names,
     fresh_supply,
-    struct_congruent,
     subst_proc,
 )
 
@@ -376,9 +386,16 @@ def fresh_alias(prefix: str, domain: frozenset[Alias]) -> Alias:
 
 @dataclass(frozen=True)
 class Step:
+    """One transition; ``residual`` is the successor as built and ``target``
+    its alpha-canonical form, computed on first read and kept."""
+
     event: Event
-    target: ExtendedProcess
+    residual: ExtendedProcess
     phantom: bool = False
+
+    @cached_property
+    def target(self) -> ExtendedProcess:
+        return alpha_canonical(self.residual)
 
 
 @dataclass
@@ -402,7 +419,9 @@ def enabled_transitions(
 
     Channels and input payloads range over recipes up to
     ``bounds.recipe_depth``; each output extends the frame at an alias
-    rooted at the firing location's parallel prefix."""
+    rooted at the firing location's parallel prefix.  ``A`` must be
+    canonical (alpha-canonical or a class representative), never a raw
+    residual; the steps carry raw residuals."""
     cache = theory.enabled
     key = (A, bounds, signature, consts)
     hit = cache.get(key)
@@ -421,32 +440,53 @@ def enabled_transitions(
 
     steps: list[Step] = []
     for t in ts:
+        binders = A.binders + t.binders
         if isinstance(t, POut):
             alias = fresh_alias(t.loc.prefix, A.frame.domain)
             frame2 = A.frame.extend(alias, theory.normalize(t.payload))
-            residual = alpha_canonical(
-                ExtendedProcess(A.binders + t.binders, frame2, t.cont)
-            )
+            residual = ExtendedProcess(binders, frame2, t.cont)
             for m in chan_recipes(t.chan):
                 steps.append(Step(Event(OutLabel(m, alias), t.loc), residual, t.phantom))
         elif isinstance(t, PIn):
-            for m in chan_recipes(t.chan):
-                for n, img in zip(recipes, images):
-                    body = subst_proc(t.cont, {t.binder: img})
-                    residual = alpha_canonical(
-                        ExtendedProcess(A.binders + t.binders, A.frame, body)
-                    )
+            chans = chan_recipes(t.chan)
+            if not chans:
+                continue
+            residuals = [
+                ExtendedProcess(binders, A.frame, subst_proc(t.cont, {t.binder: img}))
+                for img in images
+            ]
+            for m in chans:
+                for n, residual in zip(recipes, residuals):
                     steps.append(Step(Event(InLabel(m, n), t.loc), residual, t.phantom))
         else:
-            residual = alpha_canonical(
-                ExtendedProcess(A.binders + t.binders, A.frame, t.cont)
-            )
+            residual = ExtendedProcess(binders, A.frame, t.cont)
             steps.append(Step(Event(TauLabel(), t.loc), residual, t.phantom))
 
     steps.sort(key=lambda s: (s.phantom, event_key(s.event)))
     result = TransitionSet(steps, tainted)
     cache[key] = result
     return result
+
+
+def state_class(state: ExtendedProcess, theory: Theory) -> int:
+    """Id of the state's congruence class.  The theory's table maps each
+    state, and each congruence key (a fixed point of ``congruence_key``),
+    to the id, so every distinct state is canonicalised once per theory;
+    ``theory.reps[id]`` is the class's key, its representative."""
+    classes = theory.classes
+    i = classes.get(state)
+    if i is None:
+        key = congruence_key(state)
+        i = classes.get(key)
+        if i is None:
+            i = classes[key] = len(theory.reps)
+            theory.reps.append(key)
+        classes[state] = i
+    return i
+
+
+def representative(state: ExtendedProcess, theory: Theory) -> ExtendedProcess:
+    return theory.reps[state_class(state, theory)]
 
 
 def default_consts(*procs: Process) -> frozenset[str]:
@@ -475,9 +515,10 @@ def reachable_lts(
     consts: frozenset[str],
 ) -> LTSGraph:
     """Breadth-first exploration up to the state budget; states are merged
-    up to structural congruence."""
+    up to structural congruence, and each class is shown by the
+    alpha-canonical target that reached it first."""
     start = alpha_canonical(A)
-    index = {congruence_key(start): 0}
+    index = {state_class(start, theory): 0}  # class id -> state index
     states = [start]
     edges: list[tuple[int, Event, int]] = []
     tainted = False
@@ -488,19 +529,19 @@ def reachable_lts(
         for sid in frontier:
             tset = enabled_transitions(states[sid], bounds, theory, signature, consts)
             tainted = tainted or tset.tainted
-            for event, target in ((s.event, s.target) for s in tset.real_steps):
-                key = congruence_key(target)
-                tid = index.get(key)
+            for s in tset.real_steps:
+                cid = state_class(s.residual, theory)
+                tid = index.get(cid)
                 if tid is None:
                     if len(states) >= bounds.state_budget:
                         exhausted = True
                         tainted = True
                         continue
                     tid = len(states)
-                    index[key] = tid
-                    states.append(target)
+                    index[cid] = tid
+                    states.append(s.target)
                     next_frontier.append(tid)
-                edges.append((sid, event, tid))
+                edges.append((sid, s.event, tid))
         frontier = next_frontier
     return LTSGraph(states, edges, tainted, exhausted)
 
@@ -524,24 +565,26 @@ def diamond_check(
     consts: frozenset[str],
 ) -> list[DiamondViolation]:
     """Check that independent coinitial transitions commute to congruent
-    endpoints across all states of an explored graph."""
+    endpoints across all states of an explored graph; endpoints are
+    compared by their class ids."""
     from .independence import indep_event
 
     violations = []
     for state in graph.states:
         steps = enabled_transitions(state, bounds, theory, signature, consts).real_steps
-        pairs = [(s.event, s.target) for s in steps]
-        for i, (e0, b0) in enumerate(pairs):
-            for e1, b1 in pairs[i + 1 :]:
+        for i, s0 in enumerate(steps):
+            e0 = s0.event
+            for s1 in steps[i + 1 :]:
+                e1 = s1.event
                 if e0 == e1 or not indep_event(e0, e1):
                     continue
-                b01 = _fire(b0, e1, bounds, theory, signature, consts)
-                b10 = _fire(b1, e0, bounds, theory, signature, consts)
+                b01 = _fire(s0.target, e1, bounds, theory, signature, consts)
+                b10 = _fire(s1.target, e0, bounds, theory, signature, consts)
                 if b01 is None or b10 is None:
                     violations.append(
                         DiamondViolation(state, e0, e1, "missing commuting transition")
                     )
-                elif not struct_congruent(b01, b10):
+                elif state_class(b01, theory) != state_class(b10, theory):
                     violations.append(
                         DiamondViolation(state, e0, e1, "endpoints not congruent")
                     )
@@ -549,7 +592,8 @@ def diamond_check(
 
 
 def _fire(A, event, bounds, theory, signature, consts):
+    """The residual of ``A``'s real step on ``event``, or ``None``."""
     for s in enabled_transitions(A, bounds, theory, signature, consts).real_steps:
         if s.event == event:
-            return s.target
+            return s.residual
     return None

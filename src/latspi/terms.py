@@ -173,8 +173,11 @@ class Theory:
         self.enabled: dict = {}
         # (aliases, consts, signature, depth) -> ``knowledge.recipe_enum``
         self.recipes: dict = {}
-        # game state -> id of its congruence class (``games.Checker.class_id``)
+        # state -> id of its congruence class, and class id -> the class's
+        # representative, its congruence key (``lts.state_class``); the
+        # game, ``reachable_lts`` and ``diamond_check`` share them
         self.classes: dict = {}
+        self.reps: list = []
 
     def symbols(self) -> frozenset[Symbol]:
         syms: frozenset[Symbol] = frozenset()

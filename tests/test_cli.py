@@ -84,6 +84,27 @@ def test_lts_json(files, capsys):
     assert not data["tainted"]
 
 
+def test_lts_prints_each_state_as_first_reached(files, capsys):
+    # the right side of corpus case swap-sim: several of its states are
+    # alpha-canonical but not congruence keys (%2 is used before %0), and
+    # each is printed in the form of the first transition that reached it
+    f = files(
+        "swap.pi", "new c,d,n.((out(d,d) | out(a,n).in(d,z)) | (out(c,c) | in(c,y).in(n,x)))"
+    )
+    code, out, _ = run(capsys, "lts", f, "--bounds", "depth=1", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["states"] == [
+        "(id | new %0,%1,%2.((out(%1, %1) | out(a, %2).in(%1, %3)) | out(%0, %0) | in(%0, %4).in(%2, %5)))",
+        "new %0,%1,%2.({01l -> %2} | (out(%1, %1) | in(%1, %3)) | out(%0, %0) | in(%0, %4).in(%2, %5))",
+        "new %0,%1,%2.(id | (out(%1, %1) | out(a, %2).in(%1, %3)) | 0 | in(%2, %4))",
+        "new %0,%1,%2.({01l -> %2} | (0 | 0) | out(%0, %0) | in(%0, %3).in(%2, %4))",
+        "new %0,%1,%2.({01l -> %2} | (out(%1, %1) | in(%1, %3)) | 0 | in(%2, %4))",
+        "new %0,%1,%2.({01l -> %2} | (0 | 0) | 0 | in(%2, %3))",
+        "new %0,%1,%2.({01l -> %2} | (out(%1, %1) | in(%1, %3)) | 0 | 0)",
+        "new %0,%1,%2.({01l -> %2} | (0 | 0) | 0 | 0)",
+    ]
+
+
 def test_indep_reports_pairs(files, capsys):
     f = files("p.pi", "new x.(out(a,x) | out(b,h(x)))")
     code, out, _ = run(capsys, "indep", f, "--bounds", "depth=0", "--format", "json")

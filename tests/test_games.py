@@ -1,23 +1,29 @@
 """Behavioural relation games: verdicts, witnesses, and cross-checks."""
 
 import gc
+import os
+import subprocess
+import sys
 import weakref
 
 import pytest
 
-from latspi import games
+from latspi import games, lts
 from latspi.cli import load_theory
 from latspi.corpus import DISTINGUISHED, case_theory, load_corpus, run_case, verdict_class
 from latspi.games import (
+    Checker,
     FailureNode,
     LeadNode,
     Rel,
     StaticNode,
+    build_signature,
     check,
+    initial_config,
     witness_replay,
 )
-from latspi.lts import ExplorationBounds
-from latspi.syntax import ExtendedProcess, congruence_key, parse_process
+from latspi.lts import ExplorationBounds, default_consts, state_class
+from latspi.syntax import ExtendedProcess, alpha_canonical, congruence_key, parse_process
 from latspi.terms import Alias, Substitution, Theory, Var, app, dolev_yao
 
 B = ExplorationBounds(recipe_depth=1, static_depth=1, repl_unfold=2, game_depth=12)
@@ -162,6 +168,20 @@ def test_corpus_cases_pass_and_witnesses_replay():
             assert result.replay_ok
 
 
+def test_stack_hit_taints():
+    # a configuration met again on the search stack is related only under
+    # the open assumption of the enclosing search, so the verdict is tainted
+    theory = Theory(())
+    p, q = parse_process("out(a, a)"), parse_process("0")
+    cfg = initial_config(p, q, B)
+    checker = Checker(Rel.SIM_I, theory, B, build_signature(theory, p, q), default_consts(p, q))
+    key = (state_class(cfg.left, theory), state_class(cfg.right, theory), cfg.rho.key(), ())
+    checker.stack.add(key)
+    assert checker.run(cfg) is None and checker.tainted
+    fresh = Checker(Rel.SIM_I, theory, B, checker.signature, checker.consts)
+    assert fresh.run(cfg) is not None  # the configuration is refutable
+
+
 def test_game_depth_taint():
     v = V(
         Rel.BISIM_I,
@@ -209,7 +229,7 @@ def test_each_state_is_canonicalised_once_per_theory(monkeypatch):
         seen.append(state)
         return congruence_key(state)
 
-    monkeypatch.setattr(games, "congruence_key", counting)
+    monkeypatch.setattr(lts, "congruence_key", counting)
     p, q = parse_process(case.left), parse_process(case.right)
     theory = case_theory(case)
     for rel in Rel:
@@ -219,6 +239,86 @@ def test_each_state_is_canonicalised_once_per_theory(monkeypatch):
     assert set(seen) <= theory.classes.keys()
     classes = set(theory.classes.values())
     assert len(classes) == len({congruence_key(s) for s in seen}) < len(seen)
+
+
+def test_search_canonicalises_only_the_states_it_visits(monkeypatch):
+    case = next(c for c in load_corpus() if c.name == "fresh-vs-hash-sim-hp")
+    keyed, read = [], []
+    visited = {}  # id -> state of every configuration side the search met
+
+    def counting_key(state):
+        keyed.append(state)
+        return congruence_key(state)
+
+    def counting_alpha(state):
+        read.append(state)
+        return alpha_canonical(state)
+
+    run, replay = Checker.run, games._replay_node
+
+    def visiting(cfg):
+        visited.update({id(cfg.left): cfg.left, id(cfg.right): cfg.right})
+
+    def visiting_run(self, cfg, depth=0):
+        visiting(cfg)
+        return run(self, cfg, depth)
+
+    def visiting_replay(checker, cfg, node):
+        visiting(cfg)
+        return replay(checker, cfg, node)
+
+    monkeypatch.setattr(lts, "congruence_key", counting_key)
+    monkeypatch.setattr(lts, "alpha_canonical", counting_alpha)
+    monkeypatch.setattr(Checker, "run", visiting_run)
+    monkeypatch.setattr(games, "_replay_node", visiting_replay)
+    p, q = parse_process(case.left), parse_process(case.right)
+    theory = case_theory(case)
+    for rel in Rel:
+        v = check(rel, p, q, case.bounds, theory)
+        assert v.related or witness_replay(v, p, q, theory)
+    assert read == []  # the game never reads a step's target
+    assert keyed and len({id(s) for s in keyed}) == len(keyed)
+    assert all(visited.get(id(s)) is s for s in keyed)  # only visited states
+    built = sum(len(t.steps) for t in theory.enabled.values())
+    assert len(keyed) < built / 2  # most successors are never canonicalised
+
+
+INDEP_COUNT = """
+import sys
+from latspi import games
+from latspi.corpus import case_theory, load_corpus
+from latspi.syntax import parse_process
+
+calls = [0]
+indep_event = games.indep_event
+
+def counting(e0, e1):
+    calls[0] += 1
+    return indep_event(e0, e1)
+
+games.indep_event = counting
+case = next(c for c in load_corpus() if c.name == "fresh-vs-hash-sim-hp")
+p, q = parse_process(case.left), parse_process(case.right)
+theory = case_theory(case)
+for rel in games.Rel:
+    v = games.check(rel, p, q, case.bounds, theory)
+    assert v.related or games.witness_replay(v, p, q, theory)
+print(calls[0])
+"""
+
+
+def test_indep_calls_do_not_depend_on_the_hash_seed():
+    # scans over the remembered pairs stop at the first failing pair, so
+    # they must visit the pairs in an order that string hashing cannot move
+    src = os.path.join(os.path.dirname(games.__file__), os.pardir)
+    counts = set()
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.path.abspath(src))
+        out = subprocess.run(
+            [sys.executable, "-c", INDEP_COUNT], env=env, capture_output=True, text=True, check=True
+        )
+        counts.add(int(out.stdout))
+    assert len(counts) == 1 and counts.pop() > 0
 
 
 def test_class_ids_agree_with_congruence_keys():

@@ -1,7 +1,9 @@
 """Located transitions, frames, reachability, and the diamond property."""
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from latspi import lts
 from latspi.games import build_signature
 from latspi.lts import (
     ExplorationBounds,
@@ -10,8 +12,17 @@ from latspi.lts import (
     enabled_transitions,
     reachable_lts,
 )
-from latspi.syntax import from_process, parse_process, prime_bangs, struct_congruent
-from latspi.terms import Theory, dolev_yao
+from latspi.syntax import (
+    ExtendedProcess,
+    alpha_canonical,
+    congruence_key,
+    from_process,
+    parse_process,
+    prime_bangs,
+    struct_congruent,
+)
+from latspi.terms import ID, Theory, dolev_yao
+from test_syntax import _names, _procs
 
 B1 = ExplorationBounds(recipe_depth=1, static_depth=1, repl_unfold=2, game_depth=12)
 B0 = ExplorationBounds(recipe_depth=0, static_depth=1, repl_unfold=2, game_depth=12)
@@ -172,3 +183,53 @@ def test_commuting_orders_reach_congruent_states():
         "(^a(0l), 0[])", theory, bounds, signature, consts,
     )
     assert struct_congruent(ab, ba)
+
+
+# --- lazy canonicalisation ---------------------------------------------------
+
+
+def test_steps_canonicalise_their_target_on_first_read(monkeypatch):
+    calls = []
+
+    def counting(state):
+        calls.append(state)
+        return alpha_canonical(state)
+
+    monkeypatch.setattr(lts, "alpha_canonical", counting)
+    A, theory, bounds, signature, consts = setup("new k.(out(a, k) | new m.out(b, m) | in(c, x))")
+    A = alpha_canonical(A)
+    tset = enabled_transitions(A, bounds, theory, signature, consts)
+    assert len(tset.steps) > 2 and calls == []  # successors are built raw
+    step = tset.steps[-1]
+    first = step.target
+    assert step.target is first and calls == [step.residual]  # once, then kept
+    assert first == alpha_canonical(step.residual) and "_" not in str(first)
+
+
+def _transitions_on_a_fresh_theory(state, p):
+    theory = Theory(())
+    return enabled_transitions(state, B1, theory, build_signature(theory, p), default_consts(p))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_names, unique=True, min_size=2, max_size=4), _procs())
+@example(("k", "m"), parse_process("out(a, k) | out(b, m)"))
+@example((), parse_process("new z.(out(c, z) | new a.new x.out(b, x))"))
+def test_class_representatives_have_the_same_transitions(binders, p):
+    # the game expands the representative of a state's congruence class in
+    # its place, so the two must agree step for step up to congruence; top
+    # restrictions in declared order make the two differ
+    p = prime_bangs(p, 1)
+    A = alpha_canonical(ExtendedProcess(tuple(binders), ID, p))
+    states = [A] + [s.target for s in _transitions_on_a_fresh_theory(A, p).steps]
+    for state in states:
+        rep = congruence_key(state)
+        ts = _transitions_on_a_fresh_theory(state, p)
+        tr = _transitions_on_a_fresh_theory(rep, p)
+        assert [s.event for s in ts.steps] == [s.event for s in tr.steps]
+        assert [s.phantom for s in ts.steps] == [s.phantom for s in tr.steps]
+        assert ts.tainted == tr.tainted
+        for s, r in zip(ts.steps, tr.steps):
+            assert congruence_key(s.residual) == congruence_key(r.residual)
+            assert s.target == alpha_canonical(s.residual)
+            assert r.target == alpha_canonical(r.residual)
