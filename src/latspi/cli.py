@@ -13,6 +13,7 @@ import argparse
 import json
 import re
 import sys
+from dataclasses import asdict
 
 from . import corpus as corpus_mod
 from .games import (
@@ -89,6 +90,8 @@ def parse_bounds(text: str | None) -> ExplorationBounds:
             if field is None:
                 raise CliError(f"unknown bound: {key!r} (use {', '.join(sorted(_BOUND_KEYS))})")
             kw[field] = int(value)
+            if kw[field] < 0:
+                raise CliError(f"bound {key.strip()!r} must not be negative: {value!r}")
     if "recipe_depth" in kw and "static_depth" not in kw:
         kw["static_depth"] = kw["recipe_depth"]
     return ExplorationBounds(**kw)
@@ -98,17 +101,6 @@ def load_process(path: str):
     with open(path) as f:
         _, proc = parse_pi_file(f.read())
     return proc
-
-
-def bounds_dict(b: ExplorationBounds) -> dict:
-    return {
-        "recipe_depth": b.recipe_depth,
-        "static_depth": b.static_depth,
-        "repl_unfold": b.repl_unfold,
-        "game_depth": b.game_depth,
-        "state_budget": b.state_budget,
-        "extra_consts": list(b.extra_consts),
-    }
 
 
 # --- witness serialization -------------------------------------------------
@@ -143,7 +135,7 @@ def verdict_to_json(v: Verdict) -> dict:
         "related": v.related,
         "exact": v.exact,
         "verdict_class": corpus_mod.verdict_class(v),
-        "bounds": bounds_dict(v.bounds),
+        "bounds": asdict(v.bounds),
         "witness": witness_to_json(v.witness) if v.witness is not None else None,
     }
 

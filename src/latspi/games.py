@@ -171,7 +171,6 @@ class Checker:
         self.st_exhaustive = st_exhaustive and rel.family == "st"
         self.memo: dict = {}
         self.stack: set = set()
-        self.static_cache: dict = {}
         self.tainted = False
 
     # -- primitives --
@@ -193,21 +192,17 @@ class Checker:
         return indep_event(e0, e1)
 
     def static_witness(self, cfg: GameConfig) -> StaticWitness | None:
-        key = (cfg.left.frame, cfg.right.frame, cfg.rho.key())
-        if key in self.static_cache:
-            return self.static_cache[key]
+        """The static test of the configuration's frames, memoised on the
+        theory so that every check sharing it runs each test once."""
         fn = static_impl_witness if self.rel is Rel.PRESIM_I else static_equiv_witness
-        w = fn(
-            cfg.left.frame,
-            cfg.right.frame,
-            cfg.rho,
-            self.consts,
-            self.signature,
-            self.bounds.static_depth,
-            self.theory,
-        )
-        self.static_cache[key] = w
-        return w
+        left, right, depth = cfg.left.frame, cfg.right.frame, self.bounds.static_depth
+        key = (fn, left, right, cfg.rho.key(), self.consts, self.signature, depth)
+        table = self.theory.static
+        try:
+            return table[key]
+        except KeyError:
+            w = table[key] = fn(left, right, cfg.rho, self.consts, self.signature, depth, self.theory)
+            return w
 
     def match_label(self, left_action, right_action, rho: AliasMap) -> AliasMap | None:
         """Extension of ``rho`` under which the left label maps onto the

@@ -339,8 +339,10 @@ def _proc_transitions(p: Process, theory: Theory) -> tuple[tuple, bool]:
     if isinstance(p, Par):
         lts, ltaint = proc_transitions(p.left, theory)
         rts, rtaint = proc_transitions(p.right, theory)
-        left_names = all_names(p.left)
-        right_names = all_names(p.right)
+        # only a firing that extrudes binders is renamed apart from the
+        # other side's names
+        left_names = all_names(p.left) if any(t.binders for t in rts) else frozenset()
+        right_names = all_names(p.right) if any(t.binders for t in lts) else frozenset()
         out = []
         for t in lts:
             t = _freshen_binders(t, right_names)

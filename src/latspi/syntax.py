@@ -10,6 +10,22 @@ Two reserved namespaces keep renaming hygienic: canonical binders are named
 ``%0, %1, ...`` and transition-local fresh names are ``_0, _1, ...``.
 Neither is accepted by the parser, so user-level names never collide with
 machine-chosen ones.
+
+Every walk over the syntax (names, symbols, substitution, priming,
+canonical forms) goes through two methods that each process class
+defines.  ``p.parts()`` returns ``(msgs, binder, kids)``: the messages the
+node reads outside its binder, the name it binds in its children (or
+``None``), and its children in source order.  ``p.remake(msgs, binder,
+kids)`` builds a node of the same class from new parts and keeps what
+``parts`` leaves out, such as a replication's fuel.  Only ``Nil`` has no
+children.  Printing, whose concrete syntax differs per constructor, and the
+transition rules in ``lts`` keep their own per-constructor cases.
+
+``congruence_key`` numbers the top binders in order of first use, in the
+sorted frame and then in the body, in the same walk that renames them: its
+renaming names a top binder ``%i`` when a lookup first meets it unshadowed.
+That works because ``terms.rename_vars`` looks names up through ``get``
+only, and must keep doing so.
 """
 
 from __future__ import annotations
@@ -36,12 +52,19 @@ class ParseError(Exception):
 
 
 class Process:
+    """A process node, walked through ``parts`` and ``remake`` (see the
+    module docstring)."""
+
     __slots__ = ()
 
 
 @dataclass(frozen=True)
 class Nil(Process):
-    pass
+    def parts(self):
+        return (), None, ()
+
+    def remake(self, msgs, binder, kids):
+        return self
 
 
 @dataclass(frozen=True)
@@ -49,11 +72,23 @@ class New(Process):
     name: str
     body: Process
 
+    def parts(self):
+        return (), self.name, (self.body,)
+
+    def remake(self, msgs, binder, kids):
+        return New(binder, kids[0])
+
 
 @dataclass(frozen=True)
 class Par(Process):
     left: Process
     right: Process
+
+    def parts(self):
+        return (), None, (self.left, self.right)
+
+    def remake(self, msgs, binder, kids):
+        return Par(kids[0], kids[1])
 
 
 @dataclass(frozen=True)
@@ -63,6 +98,12 @@ class Bang(Process):
 
     body: Process
     fuel: int | None = None
+
+    def parts(self):
+        return (), None, (self.body,)
+
+    def remake(self, msgs, binder, kids):
+        return Bang(kids[0], self.fuel)
 
 
 class Guard(Process):
@@ -75,12 +116,24 @@ class In(Guard):
     binder: str
     body: Process
 
+    def parts(self):
+        return (self.chan,), self.binder, (self.body,)
+
+    def remake(self, msgs, binder, kids):
+        return In(msgs[0], binder, kids[0])
+
 
 @dataclass(frozen=True)
 class Out(Guard):
     chan: Message
     payload: Message
     body: Process
+
+    def parts(self):
+        return (self.chan, self.payload), None, (self.body,)
+
+    def remake(self, msgs, binder, kids):
+        return Out(msgs[0], msgs[1], kids[0])
 
 
 @dataclass(frozen=True)
@@ -89,6 +142,12 @@ class Match(Guard):
     rhs: Message
     body: Guard
 
+    def parts(self):
+        return (self.lhs, self.rhs), None, (self.body,)
+
+    def remake(self, msgs, binder, kids):
+        return Match(msgs[0], msgs[1], kids[0])
+
 
 @dataclass(frozen=True)
 class Mismatch(Guard):
@@ -96,68 +155,60 @@ class Mismatch(Guard):
     rhs: Message
     body: Guard
 
+    def parts(self):
+        return (self.lhs, self.rhs), None, (self.body,)
+
+    def remake(self, msgs, binder, kids):
+        return Mismatch(msgs[0], msgs[1], kids[0])
+
 
 @dataclass(frozen=True)
 class Sum(Guard):
     left: Guard
     right: Guard
 
+    def parts(self):
+        return (), None, (self.left, self.right)
+
+    def remake(self, msgs, binder, kids):
+        return Sum(kids[0], kids[1])
+
 
 def free_names(p: Process) -> frozenset[str]:
-    if isinstance(p, Nil):
-        return frozenset()
-    if isinstance(p, New):
-        return free_names(p.body) - {p.name}
-    if isinstance(p, Par):
-        return free_names(p.left) | free_names(p.right)
-    if isinstance(p, Bang):
-        return free_names(p.body)
-    if isinstance(p, In):
-        return free_vars(p.chan) | (free_names(p.body) - {p.binder})
-    if isinstance(p, Out):
-        return free_vars(p.chan) | free_vars(p.payload) | free_names(p.body)
-    if isinstance(p, (Match, Mismatch)):
-        return free_vars(p.lhs) | free_vars(p.rhs) | free_names(p.body)
-    if isinstance(p, Sum):
-        return free_names(p.left) | free_names(p.right)
-    raise TypeError(p)
+    msgs, binder, kids = p.parts()
+    names: frozenset[str] = frozenset()
+    for k in kids:
+        names |= free_names(k)
+    if binder is not None:
+        names -= {binder}
+    for m in msgs:
+        names |= free_vars(m)
+    return names
 
 
 def all_names(p: Process) -> frozenset[str]:
     """Every name occurring in ``p``, free or bound."""
-    if isinstance(p, Nil):
-        return frozenset()
-    if isinstance(p, New):
-        return all_names(p.body) | {p.name}
-    if isinstance(p, Par):
-        return all_names(p.left) | all_names(p.right)
-    if isinstance(p, Bang):
-        return all_names(p.body)
-    if isinstance(p, In):
-        return free_vars(p.chan) | all_names(p.body) | {p.binder}
-    if isinstance(p, Out):
-        return free_vars(p.chan) | free_vars(p.payload) | all_names(p.body)
-    if isinstance(p, (Match, Mismatch)):
-        return free_vars(p.lhs) | free_vars(p.rhs) | all_names(p.body)
-    if isinstance(p, Sum):
-        return all_names(p.left) | all_names(p.right)
-    raise TypeError(p)
+    names: set[str] = set()
+    todo = [p]
+    for q in todo:  # the loop visits the kids it appends
+        msgs, binder, kids = q.parts()
+        for m in msgs:
+            names |= free_vars(m)
+        if binder is not None:
+            names.add(binder)
+        todo += kids
+    return frozenset(names)
 
 
 def symbols_of(p: Process) -> frozenset[Symbol]:
-    if isinstance(p, Nil):
-        return frozenset()
-    if isinstance(p, (New, Bang)):
-        return symbols_of(p.body)
-    if isinstance(p, (Par, Sum)):
-        return symbols_of(p.left) | symbols_of(p.right)
-    if isinstance(p, In):
-        return msg_symbols(p.chan) | symbols_of(p.body)
-    if isinstance(p, Out):
-        return msg_symbols(p.chan) | msg_symbols(p.payload) | symbols_of(p.body)
-    if isinstance(p, (Match, Mismatch)):
-        return msg_symbols(p.lhs) | msg_symbols(p.rhs) | symbols_of(p.body)
-    raise TypeError(p)
+    syms: set[Symbol] = set()
+    todo = [p]
+    for q in todo:
+        msgs, _, kids = q.parts()
+        for m in msgs:
+            syms |= msg_symbols(m)
+        todo += kids
+    return frozenset(syms)
 
 
 def fresh_supply(avoid):
@@ -180,70 +231,36 @@ def subst_proc(p: Process, mapping: dict[str, Message]) -> Process:
     range_fv: set[str] = set(mapping)
     for m in mapping.values():
         range_fv |= free_vars(m)
-    supply = fresh_supply(range_fv | all_names(p))
-    return _subst(p, mapping, range_fv, supply)
+
+    def supply():
+        # few substitutions rename a binder, so walk ``p`` for its names
+        # only when one does
+        yield from fresh_supply(range_fv | all_names(p))
+
+    return _subst(p, mapping, range_fv, supply())
 
 
 def _subst(p: Process, mapping, range_fv, supply) -> Process:
-    def on_binder(x: str, body: Process):
-        inner = {k: v for k, v in mapping.items() if k != x}
-        if not inner:
-            return x, body, {}
-        if x in range_fv:
-            x2 = next(supply)
-            inner[x] = Var(x2)
-            return x2, body, inner
-        return x, body, inner
-
-    if isinstance(p, Nil):
+    msgs, binder, kids = p.parts()
+    if not kids:
         return p
-    if isinstance(p, New):
-        x2, body, inner = on_binder(p.name, p.body)
-        return New(x2, _subst(body, inner, range_fv, supply) if inner else body)
-    if isinstance(p, Par):
-        return Par(_subst(p.left, mapping, range_fv, supply), _subst(p.right, mapping, range_fv, supply))
-    if isinstance(p, Bang):
-        return Bang(_subst(p.body, mapping, range_fv, supply), p.fuel)
-    if isinstance(p, In):
-        chan = rename_vars(p.chan, mapping)
-        x2, body, inner = on_binder(p.binder, p.body)
-        return In(chan, x2, _subst(body, inner, range_fv, supply) if inner else body)
-    if isinstance(p, Out):
-        return Out(
-            rename_vars(p.chan, mapping),
-            rename_vars(p.payload, mapping),
-            _subst(p.body, mapping, range_fv, supply),
-        )
-    if isinstance(p, Match):
-        return Match(rename_vars(p.lhs, mapping), rename_vars(p.rhs, mapping), _subst(p.body, mapping, range_fv, supply))
-    if isinstance(p, Mismatch):
-        return Mismatch(rename_vars(p.lhs, mapping), rename_vars(p.rhs, mapping), _subst(p.body, mapping, range_fv, supply))
-    if isinstance(p, Sum):
-        return Sum(_subst(p.left, mapping, range_fv, supply), _subst(p.right, mapping, range_fv, supply))
-    raise TypeError(p)
+    if msgs:
+        msgs = [rename_vars(m, mapping) for m in msgs]
+    if binder is not None:
+        mapping = {k: v for k, v in mapping.items() if k != binder}
+        if not mapping:
+            return p.remake(msgs, binder, kids)
+        if binder in range_fv:
+            old, binder = binder, next(supply)
+            mapping[old] = Var(binder)
+    return p.remake(msgs, binder, [_subst(k, mapping, range_fv, supply) for k in kids])
 
 
 def prime_bangs(p: Process, fuel: int) -> Process:
     """Attach an unfolding budget to every replication."""
-    if isinstance(p, Nil):
-        return p
-    if isinstance(p, New):
-        return New(p.name, prime_bangs(p.body, fuel))
-    if isinstance(p, Par):
-        return Par(prime_bangs(p.left, fuel), prime_bangs(p.right, fuel))
-    if isinstance(p, Bang):
-        return Bang(prime_bangs(p.body, fuel), fuel)
-    if isinstance(p, In):
-        return In(p.chan, p.binder, prime_bangs(p.body, fuel))
-    if isinstance(p, Out):
-        return Out(p.chan, p.payload, prime_bangs(p.body, fuel))
-    if isinstance(p, Match):
-        return Match(p.lhs, p.rhs, prime_bangs(p.body, fuel))
-    if isinstance(p, Mismatch):
-        return Mismatch(p.lhs, p.rhs, prime_bangs(p.body, fuel))
-    if isinstance(p, Sum):
-        return Sum(prime_bangs(p.left, fuel), prime_bangs(p.right, fuel))
-    raise TypeError(p)
+    msgs, binder, kids = p.parts()
+    q = p.remake(msgs, binder, [prime_bangs(k, fuel) for k in kids])
+    return Bang(q.body, fuel) if isinstance(q, Bang) else q
 
 
 # --- parsing ---------------------------------------------------------------
@@ -517,112 +534,66 @@ def from_process(p: Process) -> ExtendedProcess:
     return ExtendedProcess((), ID, p)
 
 
-def _scan_first_use(A: ExtendedProcess) -> list[str]:
-    """Top binders in order of first occurrence in the sorted frame, then
-    the body; unused binders follow in their original order."""
-    binders = set(A.binders)
-    order: list[str] = []
-    seen: set[str] = set()
+_UNNAMED = Var("%")  # a top binder not yet met; no name is spelled ``%``
 
-    def scan_msg(m: Message, shadow: frozenset[str]):
-        if isinstance(m, Var):
-            if m.name in binders and m.name not in shadow and m.name not in seen:
-                seen.add(m.name)
-                order.append(m.name)
-        elif isinstance(m, App):
-            for a in m.args:
-                scan_msg(a, shadow)
 
-    def scan(p: Process, shadow: frozenset[str]):
-        if isinstance(p, Nil):
-            return
-        if isinstance(p, New):
-            scan(p.body, shadow | {p.name})
-        elif isinstance(p, Par):
-            scan(p.left, shadow)
-            scan(p.right, shadow)
-        elif isinstance(p, Bang):
-            scan(p.body, shadow)
-        elif isinstance(p, In):
-            scan_msg(p.chan, shadow)
-            scan(p.body, shadow | {p.binder})
-        elif isinstance(p, Out):
-            scan_msg(p.chan, shadow)
-            scan_msg(p.payload, shadow)
-            scan(p.body, shadow)
-        elif isinstance(p, (Match, Mismatch)):
-            scan_msg(p.lhs, shadow)
-            scan_msg(p.rhs, shadow)
-            scan(p.body, shadow)
-        elif isinstance(p, Sum):
-            scan(p.left, shadow)
-            scan(p.right, shadow)
-        else:
-            raise TypeError(p)
+class _FirstUse(dict):
+    """The renaming of ``congruence_key``: bound names map to their
+    canonical variables, and a top binder, mapped to ``_UNNAMED`` until
+    then, is named ``%i`` by the first lookup that meets it unshadowed."""
 
-    for _, m in A.frame.items():
-        scan_msg(m, frozenset())
-    scan(A.body, frozenset())
-    for name in A.binders:
-        if name not in seen:
-            seen.add(name)
-            order.append(name)
-    return order
+    def __init__(self, binders):
+        super().__init__(dict.fromkeys(binders, _UNNAMED))
+        self.named = 0
+
+    def get(self, name, default=None):
+        v = dict.get(self, name, default)
+        if v is _UNNAMED:
+            v = self[name] = Var(f"%{self.named}")
+            self.named += 1
+        return v
 
 
 def _canon_body(p: Process, env: dict[str, Message], counter: list) -> Process:
-    def bind(x: str):
-        name = f"%{counter[0]}"
-        counter[0] += 1
-        return name
-
-    if isinstance(p, Nil):
+    msgs, binder, kids = p.parts()
+    if not kids:
         return p
-    if isinstance(p, New):
-        name = bind(p.name)
-        inner = dict(env)
-        inner[p.name] = Var(name)
-        return New(name, _canon_body(p.body, inner, counter))
-    if isinstance(p, Par):
-        return Par(_canon_body(p.left, env, counter), _canon_body(p.right, env, counter))
-    if isinstance(p, Bang):
-        return Bang(_canon_body(p.body, env, counter), p.fuel)
-    if isinstance(p, In):
-        chan = rename_vars(p.chan, env)
-        name = bind(p.binder)
-        inner = dict(env)
-        inner[p.binder] = Var(name)
-        return In(chan, name, _canon_body(p.body, inner, counter))
-    if isinstance(p, Out):
-        return Out(rename_vars(p.chan, env), rename_vars(p.payload, env), _canon_body(p.body, env, counter))
-    if isinstance(p, Match):
-        return Match(rename_vars(p.lhs, env), rename_vars(p.rhs, env), _canon_body(p.body, env, counter))
-    if isinstance(p, Mismatch):
-        return Mismatch(rename_vars(p.lhs, env), rename_vars(p.rhs, env), _canon_body(p.body, env, counter))
-    if isinstance(p, Sum):
-        return Sum(_canon_body(p.left, env, counter), _canon_body(p.right, env, counter))
-    raise TypeError(p)
+    if msgs:
+        msgs = [rename_vars(m, env) for m in msgs]
+    if binder is None:
+        return p.remake(msgs, None, [_canon_body(k, env, counter) for k in kids])
+    # bind in place and restore: a top binder that ``env`` names in here
+    # must stay named out there
+    outer = env.pop(binder, None)
+    name = f"%{counter[0]}"
+    counter[0] += 1
+    env[binder] = Var(name)
+    q = p.remake(msgs, name, [_canon_body(k, env, counter) for k in kids])
+    if outer is None:
+        del env[binder]
+    else:
+        env[binder] = outer
+    return q
 
 
-def _canonical(A: ExtendedProcess, order_by_use: bool) -> ExtendedProcess:
-    top = _scan_first_use(A) if order_by_use else list(A.binders)
-    env: dict[str, Message] = {old: Var(f"%{i}") for i, old in enumerate(top)}
+def _canonical(A: ExtendedProcess, env: dict[str, Message], top: int) -> ExtendedProcess:
     frame = Substitution({a: rename_vars(m, env) for a, m in A.frame.items()})
-    counter = [len(top)]
-    body = _canon_body(A.body, env, counter)
-    return ExtendedProcess(tuple(f"%{i}" for i in range(len(top))), frame, body)
+    body = _canon_body(A.body, env, [top])
+    return ExtendedProcess(tuple(f"%{i}" for i in range(top)), frame, body)
 
 
 def alpha_canonical(A: ExtendedProcess) -> ExtendedProcess:
     """Canonical representative of the alpha-equivalence class; the order of
     top-level binders is preserved."""
-    return _canonical(A, order_by_use=False)
+    env = {old: Var(f"%{i}") for i, old in enumerate(A.binders)}
+    return _canonical(A, env, len(A.binders))
 
 
 def congruence_key(A: ExtendedProcess) -> ExtendedProcess:
     """Canonical representative up to structural congruence: alpha-renaming,
     frame reordering, and reordering of top-level restrictions."""
-    return _canonical(A, order_by_use=True)
+    env = _FirstUse(A.binders)
+    return _canonical(A, env, len(env))
 
 
 def struct_congruent(A: ExtendedProcess, B: ExtendedProcess) -> bool:

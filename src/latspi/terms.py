@@ -116,7 +116,10 @@ def msg_key(m: Message):
 
 
 def rename_vars(m: Message, mapping: Mapping[str, Message]) -> Message:
-    """Replace free variables by messages (variables are never binders here)."""
+    """Replace free variables by messages (variables are never binders here).
+
+    Names are looked up through ``mapping.get`` only: the renaming of
+    ``syntax.congruence_key`` names top binders as lookups first meet them."""
     if isinstance(m, Var):
         return mapping.get(m.name, m)
     if isinstance(m, Alias):
@@ -173,6 +176,9 @@ class Theory:
         self.enabled: dict = {}
         # (aliases, consts, signature, depth) -> ``knowledge.recipe_enum``
         self.recipes: dict = {}
+        # (test kind, frames, alias map, consts, signature, depth) -> the
+        # static test's ``StaticWitness`` or ``None`` (``games.Checker``)
+        self.static: dict = {}
         # state -> id of its congruence class, and class id -> the class's
         # representative, its congruence key (``lts.state_class``); the
         # game, ``reachable_lts`` and ``diamond_check`` share them

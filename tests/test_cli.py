@@ -54,6 +54,16 @@ def test_state_budget_env(monkeypatch):
     assert parse_bounds("budget=9").state_budget == 9
 
 
+@pytest.mark.parametrize("key", ["depth", "recipe", "static", "unfold", "game", "budget"])
+def test_negative_bound_exits_two(files, capsys, key):
+    # game=-1 would let this pair, distinguished at the default bounds,
+    # come out related
+    l, r = files("l.pi", "out(a, m) | out(b, m)"), files("r.pi", "out(a, m)")
+    code, out, err = run(capsys, "check", "sim-i", l, r, "--bounds", f"{key}=-1")
+    assert code == 2 and out == ""
+    assert f"'{key}'" in err and "negative" in err
+
+
 # --- parse / lts / indep ---------------------------------------------------
 
 

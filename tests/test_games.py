@@ -217,6 +217,25 @@ def test_tables_die_with_their_theory():
     assert ref() is None
 
 
+def test_each_static_test_runs_once_per_theory(monkeypatch):
+    # the 13 relations and their replays on one pair share one theory
+    case = next(c for c in load_corpus() if c.name == "fresh-vs-hash-sim-hp")
+    calls = []
+    for name in ("static_equiv_witness", "static_impl_witness"):
+
+        def counting(left, right, rho, *rest, _test=getattr(games, name), _name=name):
+            calls.append((_name, left, right, rho.key(), *rest[:-1]))
+            return _test(left, right, rho, *rest)
+
+        monkeypatch.setattr(games, name, counting)
+    p, q = parse_process(case.left), parse_process(case.right)
+    theory = case_theory(case)
+    for rel in Rel:
+        v = check(rel, p, q, case.bounds, theory)
+        assert v.related or witness_replay(v, p, q, theory)
+    assert calls and len(calls) == len(set(calls))
+
+
 # --- congruence-class ids --------------------------------------------------
 
 

@@ -7,11 +7,14 @@ from latspi.syntax import (
     Bang,
     ExtendedProcess,
     In,
+    Match,
+    Mismatch,
     New,
     Nil,
     Out,
     Par,
     ParseError,
+    Sum,
     alpha_canonical,
     congruence_key,
     free_names,
@@ -166,7 +169,16 @@ def _guards(proc):
         st.tuples(_msgs, _msgs, proc).map(lambda t: Out(t[0], t[1], t[2])),
         st.tuples(_msgs, _names, proc).map(lambda t: In(t[0], t[1], t[2])),
     )
-    return prefix
+    # tests and choices take guards only
+    return st.recursive(
+        prefix,
+        lambda guards: st.one_of(
+            st.tuples(_msgs, _msgs, guards).map(lambda t: Match(*t)),
+            st.tuples(_msgs, _msgs, guards).map(lambda t: Mismatch(*t)),
+            st.tuples(guards, guards).map(lambda t: Sum(*t)),
+        ),
+        max_leaves=3,
+    )
 
 
 def _procs():
