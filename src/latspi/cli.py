@@ -33,7 +33,14 @@ from .knowledge import (
     static_impl_witness,
 )
 from .independence import indep_event, indep_loc
-from .lts import ExplorationBounds, default_consts, diamond_check, enabled_transitions, reachable_lts
+from .lts import (
+    ExplorationBounds,
+    checked_bounds,
+    default_consts,
+    diamond_check,
+    enabled_transitions,
+    reachable_lts,
+)
 from .syntax import ParseError, from_process, parse_pi_file, prime_bangs, to_text
 from .terms import (
     ID_ALIAS,
@@ -78,7 +85,7 @@ _BOUND_KEYS = {
 
 
 def parse_bounds(text: str | None) -> ExplorationBounds:
-    kw: dict = {}
+    values: dict = {}
     if text:
         for part in text.split(","):
             if not part:
@@ -86,12 +93,14 @@ def parse_bounds(text: str | None) -> ExplorationBounds:
             if "=" not in part:
                 raise CliError(f"malformed bounds entry: {part!r}")
             key, _, value = part.partition("=")
-            field = _BOUND_KEYS.get(key.strip())
-            if field is None:
-                raise CliError(f"unknown bound: {key!r} (use {', '.join(sorted(_BOUND_KEYS))})")
-            kw[field] = int(value)
-            if kw[field] < 0:
-                raise CliError(f"bound {key.strip()!r} must not be negative: {value!r}")
+            try:
+                values[key.strip()] = int(value)
+            except ValueError:
+                values[key.strip()] = value  # rejected below, naming the key
+    try:
+        kw = checked_bounds(values, _BOUND_KEYS)
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
     if "recipe_depth" in kw and "static_depth" not in kw:
         kw["static_depth"] = kw["recipe_depth"]
     return ExplorationBounds(**kw)

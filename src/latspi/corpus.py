@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from importlib import resources
 
 from .games import Rel, Verdict, check, witness_replay
-from .lts import ExplorationBounds
+from .lts import ExplorationBounds, checked_bounds
 from .syntax import parse_process
 from .terms import Theory, dolev_yao
 
@@ -45,35 +45,39 @@ def case_theory(case: CorpusCase) -> Theory:
     raise ValueError(f"unknown theory preset: {case.theory}")
 
 
+# a corpus file names bounds by their field names
+_BOUND_KEYS = {f.name: f.name for f in fields(ExplorationBounds)}
+
+
 def bounds_from_dict(d: dict) -> ExplorationBounds:
-    return ExplorationBounds(
-        recipe_depth=d.get("recipe_depth", 2),
-        static_depth=d.get("static_depth", 2),
-        repl_unfold=d.get("repl_unfold", 2),
-        game_depth=d.get("game_depth", 12),
-        state_budget=d.get("state_budget", 100_000),
-        extra_consts=tuple(d.get("extra_consts", ())),
-    )
+    """Bounds from a case's ``bounds`` object, checked as ``--bounds`` is."""
+    if not isinstance(d, dict):
+        raise ValueError(f"bounds are not a JSON object: {d!r}")
+    return ExplorationBounds(**checked_bounds(d, _BOUND_KEYS))
 
 
 _CASE_FIELDS = ("name", "left", "right", "relation", "expected")
 
 
 def case_from_dict(d: dict) -> CorpusCase:
-    """A case from its JSON object; a missing field raises ``ValueError``
-    naming the case and the field."""
+    """A case from its JSON object; a missing field or a malformed bound
+    raises ``ValueError`` naming the case and the field or bound."""
     if not isinstance(d, dict):
         raise ValueError(f"corpus case is not a JSON object: {d!r}")
     for field in _CASE_FIELDS:
         if field not in d:
             raise ValueError(f"corpus case {d.get('name', '<unnamed>')!r}: missing field {field!r}")
+    try:
+        bounds = bounds_from_dict(d.get("bounds", {}))
+    except ValueError as exc:
+        raise ValueError(f"corpus case {d['name']!r}: {exc}") from None
     return CorpusCase(
         name=d["name"],
         left=d["left"],
         right=d["right"],
         relation=Rel(d["relation"]),
         expected=d["expected"],
-        bounds=bounds_from_dict(d.get("bounds", {})),
+        bounds=bounds,
         theory=d.get("theory", "empty"),
         st_exhaustive=d.get("st_exhaustive", False),
     )

@@ -7,25 +7,32 @@ Static equivalence of two frames (up to an alias bijection) is decided over
 the finite recipe universe of a given depth by partitioning recipes by
 their normal form on each side and comparing the partitions.
 
-Normal forms are compared as small integers.  A ``terms.NormalForms`` table
-interns each distinct normal form of one theory and memoizes, for every
-symbol applied to interned arguments, the id of the result's normal form.
-A recipe's id under a frame then follows from its arguments' ids without
-rebuilding or hashing the substituted term.  The scan walks the recipes in
-enumeration order, computing both frames' ids as it goes, and keeps for
-each id on one side the first recipe with it and the other side's id
-there; the first recipe whose ids disagree with that record gives the
-witness, and the scan stops there.  The frames are equivalent exactly when
-no recipe does.  The table is the theory's, like its recipe lists and
-transitions: calls sharing one ``Theory`` share them, a check and its
-replay included, and they live as long as the theory does.
+In a frame's partition of a recipe list, two recipes share a block when
+their substituted normal forms are equal.  A ``terms.NormalForms`` table
+interns each distinct normal form of one theory as a small integer and
+memoizes, for every symbol applied to interned arguments, the id of the
+result's normal form, so a recipe's id under a frame follows from its
+arguments' ids without rebuilding or hashing the substituted term.  The
+table turns a frame's ids over the list into a pattern, giving for each
+recipe the position of the first recipe in its block, and interns the
+pattern as an id, once per (recipe list, frame).  Two frames are
+statically equivalent exactly when their partition ids are equal.  When
+they differ, the two patterns are walked in enumeration order, and the
+first recipe whose first block-mate on one side lies in another block on
+the other side gives the witness: the pair that comparing normal forms
+recipe by recipe finds first.  The table is the theory's, like its recipe
+lists and transitions: calls sharing one ``Theory`` share them, a check
+and its replay included, and they live as long as the theory does.
 
 For a terminating theory the verdict and the witness are those of
 normalising each substituted recipe whole.  The table normalises a recipe
 in pieces, one application over normal-form arguments at a time, and each
 piece has its own rewrite step budget; so with rules that do not
 terminate, ``RewriteBudgetExceeded`` can be raised where a whole term
-stayed within the budget, or the other way round.
+stayed within the budget, or the other way round.  A partition normalises
+every recipe of the list, with no early stop at a witness, so such rules
+can also raise it where a scan stopping at the first witness would have
+returned before reaching the offending recipe.
 """
 
 from __future__ import annotations
@@ -131,22 +138,18 @@ def _scan(
     both_directions: bool,
 ) -> StaticWitness | None:
     table = theory.normal_forms
-    ids_a = table.recipe_ids(recipes, frame_a, theory.normalize)
-    ids_b = table.recipe_ids(recipes, _renamed_frame(frame_b, rho), theory.normalize)
-    rep_a: dict = {}
-    rep_b: dict = {}
-    for k, (nf_a, nf_b) in enumerate(zip(ids_a, ids_b)):
-        prev = rep_a.get(nf_a)
-        if prev is None:
-            rep_a[nf_a] = (k, nf_b)
-        elif prev[1] != nf_b:
-            return StaticWitness(recipes[prev[0]], recipes[k], True, False)
-        if both_directions:
-            prev = rep_b.get(nf_b)
-            if prev is None:
-                rep_b[nf_b] = (k, nf_a)
-            elif prev[1] != nf_a:
-                return StaticWitness(recipes[prev[0]], recipes[k], False, True)
+    part_a = table.partition(recipes, frame_a, theory.normalize)
+    part_b = table.partition(recipes, _renamed_frame(frame_b, rho), theory.normalize)
+    if part_a == part_b:
+        return None
+    pat_a, pat_b = table.patterns[part_a], table.patterns[part_b]
+    for k, (ja, jb) in enumerate(zip(pat_a, pat_b)):
+        # ``ja`` is the first recipe equal to ``k`` on the left: the pair
+        # holds on the left only when the right splits it; so for ``jb``
+        if ja < k and pat_b[ja] != jb:
+            return StaticWitness(recipes[ja], recipes[k], True, False)
+        if both_directions and jb < k and pat_a[jb] != ja:
+            return StaticWitness(recipes[jb], recipes[k], False, True)
     return None
 
 

@@ -173,6 +173,28 @@ class ExplorationBounds:
     extra_consts: tuple[str, ...] = ()
 
 
+def checked_bounds(values: dict, keys: dict[str, str]) -> dict:
+    """``ExplorationBounds`` field values from bound settings read from
+    outside the program, such as ``--bounds`` or a corpus file.  ``keys``
+    maps each key the source may use to its field.  An unknown key, a count
+    that is not a non-negative ``int`` (a ``bool`` is not one), or
+    ``extra_consts`` that are not a list of names raise ``ValueError``
+    naming the key."""
+    out = {}
+    for key, value in values.items():
+        field = keys.get(key)
+        if field is None:
+            raise ValueError(f"unknown bound {key!r} (use {', '.join(sorted(keys))})")
+        if field == "extra_consts":
+            if not isinstance(value, list) or not all(isinstance(c, str) for c in value):
+                raise ValueError(f"bound {key!r} must be a list of names, not {value!r}")
+            value = tuple(value)
+        elif type(value) is not int or value < 0:
+            raise ValueError(f"bound {key!r} must be a non-negative integer, not {value!r}")
+        out[field] = value
+    return out
+
+
 # --- structural transitions ------------------------------------------------
 
 

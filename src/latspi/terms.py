@@ -11,7 +11,7 @@ oriented rules are terminating and confluent.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 
 class RewriteBudgetExceeded(Exception):
@@ -232,16 +232,25 @@ class Theory:
 
 class NormalForms:
     """Hash-consed normal forms of one theory: each distinct normal form
-    gets an integer id, and each symbol applied to interned arguments is
-    normalised once."""
+    gets an integer id, each symbol a number, and each symbol applied to
+    interned arguments is normalised once.  A frame's partition of a recipe
+    list is interned as an id too, so that two frames' partitions compare
+    as two integers."""
 
     def __init__(self):
         self.ids: dict[Message, int] = {}
         self.terms: list[Message] = []
-        # (symbol, argument ids...) -> id of the normal form
+        # symbol -> its number, which stands for it in ``apps`` keys
+        self.symbol_nos: dict[Symbol, int] = {}
+        # (symbol number, argument ids...) -> id of the normal form
         self.apps: dict[tuple, int] = {}
         # id(recipe list) -> (the list, kept so that its id stays unique; its shape)
         self.shapes: dict[int, tuple[list, list]] = {}
+        # (id(recipe list), frame) -> id of the frame's partition of the list
+        self.partitions: dict[tuple, int] = {}
+        # partition pattern -> its id, and id -> pattern
+        self.pattern_ids: dict[tuple, int] = {}
+        self.patterns: list[tuple[int, ...]] = []
 
     def intern(self, nf: Message) -> int:
         """The id of the normal form ``nf``."""
@@ -252,41 +261,64 @@ class NormalForms:
         return i
 
     def shape(self, recipes: list) -> list:
-        """Per recipe: ``(symbol, argument positions)`` when it applies a
-        symbol to earlier recipes of the list, as every recipe of
-        ``recipe_enum`` above its atoms does; otherwise the recipe itself."""
+        """Per recipe: ``(symbol number, symbol, *argument positions)`` when
+        it applies a symbol to earlier recipes of the list, as every recipe
+        of ``recipe_enum`` above its atoms does; otherwise the recipe itself."""
         hit = self.shapes.get(id(recipes))
         if hit is not None:
             return hit[1]
+        nos = self.symbol_nos
         pos: dict[int, int] = {}
         out: list = []
         for k, r in enumerate(recipes):
             if isinstance(r, App) and all(id(a) in pos for a in r.args):
-                out.append((r.fn, tuple(pos[id(a)] for a in r.args)))
+                no = nos.setdefault(r.fn, len(nos))
+                out.append((no, r.fn, *(pos[id(a)] for a in r.args)))
             else:
                 out.append(r)
             pos.setdefault(id(r), k)
         self.shapes[id(recipes)] = (recipes, out)
         return out
 
-    def recipe_ids(self, recipes: list, frame, normalize) -> Iterator[int]:
-        """Normal-form ids of the recipes under the frame, in order, each
-        computed only when it is asked for.  ``normalize`` is the owning
-        theory's: the table keeps no reference back to the theory, so a
-        dropped theory is freed at once, not by the cycle collector."""
-        apps = self.apps
+    def partition(self, recipes: list, frame, normalize) -> int:
+        """The id of the partition of the recipes by their normal forms under
+        the frame.  Its pattern, ``patterns[id]``, gives for each recipe the
+        position of the first recipe with the same normal form, so two
+        frames partition the list alike exactly when their ids are equal.
+        Every recipe is normalised, once per (list, frame).  ``normalize`` is
+        the owning theory's: the table keeps no reference back to the
+        theory, so a dropped theory is freed at once, not by the cycle
+        collector."""
+        key = (id(recipes), frame)
+        hit = self.partitions.get(key)
+        if hit is not None:
+            return hit
+        apps, terms, intern = self.apps, self.terms, self.intern
         ids: list[int] = []
         for entry in self.shape(recipes):
-            if isinstance(entry, tuple):
-                key = (entry[0], *map(ids.__getitem__, entry[1]))
-                i = apps.get(key)
+            if type(entry) is tuple:
+                # unary and binary symbols, the common ones, spelled out
+                if len(entry) == 3:
+                    app_key = (entry[0], ids[entry[2]])
+                elif len(entry) == 4:
+                    app_key = (entry[0], ids[entry[2]], ids[entry[3]])
+                else:
+                    app_key = (entry[0], *[ids[p] for p in entry[2:]])
+                i = apps.get(app_key)
                 if i is None:
-                    args = tuple(self.terms[a] for a in key[1:])
-                    i = apps[key] = self.intern(normalize(App(entry[0], args)))
+                    args = tuple(terms[a] for a in app_key[1:])
+                    i = apps[app_key] = intern(normalize(App(entry[1], args)))
             else:
-                i = self.intern(normalize(apply_msg_subst(entry, frame)))
+                i = intern(normalize(apply_msg_subst(entry, frame)))
             ids.append(i)
-            yield i
+        first: dict[int, int] = {}
+        pattern = tuple([first.setdefault(i, k) for k, i in enumerate(ids)])
+        p = self.pattern_ids.get(pattern)
+        if p is None:
+            p = self.pattern_ids[pattern] = len(self.patterns)
+            self.patterns.append(pattern)
+        self.partitions[key] = p
+        return p
 
 
 # --- substitutions ---------------------------------------------------------

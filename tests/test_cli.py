@@ -64,6 +64,12 @@ def test_negative_bound_exits_two(files, capsys, key):
     assert f"'{key}'" in err and "negative" in err
 
 
+def test_non_integer_bound_names_its_key(files, capsys):
+    code, out, err = run(capsys, "lts", files("p.pi", "out(a, m)"), "--bounds", "depth=x")
+    assert code == 2 and out == ""
+    assert err == "error: bound 'depth' must be a non-negative integer, not 'x'\n"
+
+
 # --- parse / lts / indep ---------------------------------------------------
 
 
@@ -331,6 +337,13 @@ def test_explain_malformed_witness_exits_two(files, capsys, content):
     assert err.startswith("error: malformed witness file") and "Traceback" not in err
 
 
+def _bounded_case(bounds):
+    # distinguished at the default bounds; game_depth=-1 made it related
+    case = {"name": "neg", "relation": "sim-i", "expected": "DISTINGUISHED"}
+    case.update(left="out(a, m) | out(b, m)", right="out(a, m)", bounds=bounds)
+    return {"cases": [case]}
+
+
 @pytest.mark.parametrize(
     "content, missing",
     [
@@ -339,8 +352,19 @@ def test_explain_malformed_witness_exits_two(files, capsys, content):
             {"cases": [{"name": "half", "relation": "sim-i", "expected": "RELATED_EXACT", "left": "0"}]},
             "'half': missing field 'right'",
         ),
+        (_bounded_case({"game_depth": -1}), "'neg': bound 'game_depth' must be a non-negative"),
+        (_bounded_case({"game_depth": "3"}), "'neg': bound 'game_depth' must be a non-negative"),
+        (_bounded_case({"recipe_depth": True}), "'neg': bound 'recipe_depth' must be a non-negative"),
+        (_bounded_case({"game_dept": 0}), "'neg': unknown bound 'game_dept'"),
     ],
-    ids=["without-cases", "case-without-right"],
+    ids=[
+        "without-cases",
+        "case-without-right",
+        "negative-bound",
+        "string-bound",
+        "bool-bound",
+        "misspelt-bound",
+    ],
 )
 def test_corpus_malformed_file_exits_two(files, capsys, content, missing):
     sub = files("bad.json", json.dumps(content))

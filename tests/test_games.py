@@ -1,15 +1,17 @@
 """Behavioural relation games: verdicts, witnesses, and cross-checks."""
 
 import gc
+import json
 import os
 import subprocess
 import sys
 import weakref
+from pathlib import Path
 
 import pytest
 
 from latspi import games, lts
-from latspi.cli import load_theory
+from latspi.cli import load_theory, witness_to_json
 from latspi.corpus import DISTINGUISHED, case_theory, load_corpus, run_case, verdict_class
 from latspi.games import (
     Checker,
@@ -22,9 +24,10 @@ from latspi.games import (
     initial_config,
     witness_replay,
 )
+from latspi.knowledge import _scan, recipe_enum, static_equiv_witness
 from latspi.lts import ExplorationBounds, default_consts, state_class
 from latspi.syntax import ExtendedProcess, alpha_canonical, congruence_key, parse_process
-from latspi.terms import Alias, Substitution, Theory, Var, app, dolev_yao
+from latspi.terms import Alias, AliasMap, Substitution, Theory, Var, app, dolev_yao
 
 B = ExplorationBounds(recipe_depth=1, static_depth=1, repl_unfold=2, game_depth=12)
 
@@ -160,12 +163,37 @@ def test_st_exhaustive_oracle_agrees(rel):
 # --- corpus spot checks ----------------------------------------------------
 
 
-def test_corpus_cases_pass_and_witnesses_replay():
-    for case in load_corpus():
-        result, verdict = run_case(case)
+def run_corpus_cases():
+    return [(case, *run_case(case)) for case in load_corpus()]
+
+
+@pytest.fixture(scope="module")
+def corpus_runs():
+    return run_corpus_cases()
+
+
+def test_corpus_cases_pass_and_witnesses_replay(corpus_runs):
+    for case, result, _ in corpus_runs:
         assert result.ok, (case.name, result.actual, result.error)
         if result.actual == DISTINGUISHED:
             assert result.replay_ok
+
+
+# every case's class and witness, as ``python tests/test_games.py`` writes them
+GOLDEN_WITNESSES = Path(__file__).parent / "data" / "corpus_witnesses.json"
+
+
+def corpus_witnesses(runs) -> str:
+    cases = []
+    for case, result, verdict in runs:
+        witness = None if verdict is None else verdict.witness
+        witness = None if witness is None else witness_to_json(witness)
+        cases.append({"name": case.name, "class": result.actual, "witness": witness})
+    return json.dumps({"cases": cases}, indent=2) + "\n"
+
+
+def test_corpus_witnesses_match_the_golden_file(corpus_runs):
+    assert corpus_witnesses(corpus_runs) == GOLDEN_WITNESSES.read_bytes().decode()
 
 
 def test_stack_hit_taints():
@@ -234,6 +262,46 @@ def test_each_static_test_runs_once_per_theory(monkeypatch):
         v = check(rel, p, q, case.bounds, theory)
         assert v.related or witness_replay(v, p, q, theory)
     assert calls and len(calls) == len(set(calls))
+
+
+def test_each_frame_is_partitioned_once_per_theory(monkeypatch):
+    # the 13 relations and their replays on one pair share one theory
+    case = next(c for c in load_corpus() if c.name == "error-reveal-bang-fsim-st")
+    theory = case_theory(case)
+    table = theory.normal_forms
+    partition, computed = table.partition, []
+
+    def counting(recipes, frame, normalize):
+        normalized = []
+
+        def norm(m):
+            normalized.append(m)
+            return normalize(m)
+
+        part = partition(recipes, frame, norm)
+        if normalized:  # a computed partition normalises at least its atoms
+            computed.append((id(recipes), frame))
+        return part
+
+    monkeypatch.setattr(table, "partition", counting)
+    p, q = parse_process(case.left), parse_process(case.right)
+    for rel in Rel:
+        v = check(rel, p, q, case.bounds, theory)
+        assert v.related or witness_replay(v, p, q, theory)
+    assert computed and len(computed) == len(set(computed)) == len(table.partitions)
+    monkeypatch.undo()
+
+    # a static test whose two partitions are cached normalises nothing
+    tests = [
+        (key, recipe_enum(key[1].domain, *key[4:], theory), w) for key, w in theory.static.items()
+    ]
+    normalize, normalized = theory.normalize, []
+    monkeypatch.setattr(theory, "normalize", lambda m: normalized.append(m) or normalize(m))
+    for (fn, left, right, rho_key, *_), recipes, w in tests:
+        rho = AliasMap({Alias(*a): Alias(*b) for a, b in rho_key})
+        both = fn is static_equiv_witness
+        assert _scan(left, right, rho, recipes, theory, both) == w
+    assert tests and normalized == []
 
 
 # --- congruence-class ids --------------------------------------------------
@@ -363,3 +431,10 @@ def test_equal_states_hash_equal_before_and_after_caching():
     assert hash(a) == hash(b) == hash(build())  # cached, cached, fresh
     assert hash(a) == hash((a.binders, a.frame, a.body))  # the field-wise hash
     assert {a: 1}[build()] == 1
+
+
+if __name__ == "__main__":
+    # regenerate the golden witnesses after a deliberate change of a class
+    # or witness: PYTHONPATH=src python tests/test_games.py
+    GOLDEN_WITNESSES.parent.mkdir(exist_ok=True)
+    GOLDEN_WITNESSES.write_text(corpus_witnesses(run_corpus_cases()))

@@ -1,6 +1,6 @@
 """Attacker knowledge: recipe enumeration, satisfaction, static equivalence."""
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from latspi.knowledge import (
     StaticWitness,
@@ -211,8 +211,53 @@ def _static_problems(draw):
 _DY = dolev_yao()
 
 
+R0, R1 = RIGHT_ALIASES
+
+
 @settings(max_examples=60, deadline=None)
 @given(_static_problems())
+# the right frame is coarser (it satisfies h(0l) = 1l), so the partitions
+# differ but the implication holds
+@example(
+    (
+        Substitution({L0: Var("%0"), L1: Var("%1")}),
+        Substitution({L0: Var("%0"), L1: app("h", Var("%0"))}),
+        AliasMap({L0: L0, L1: L1}),
+        frozenset({"a"}),
+        1,
+    )
+)
+# only the right frame satisfies 0l = a: the witness holds on the right only
+@example(
+    (
+        Substitution({L0: Var("%0")}),
+        Substitution({L0: Var("a")}),
+        AliasMap({L0: L0}),
+        frozenset({"a"}),
+        0,
+    )
+)
+# both directions first fail at recipe a (0l = a holds on the left only,
+# 1l = a on the right only): the left-to-right witness is the one reported
+@example(
+    (
+        Substitution({L0: Var("a"), L1: Var("%1")}),
+        Substitution({L0: Var("%0"), L1: Var("a")}),
+        AliasMap({L0: L0, L1: L1}),
+        frozenset({"a"}),
+        0,
+    )
+)
+# equal partitions: the right frame renames the private names and aliases
+@example(
+    (
+        Substitution({L0: app("enc", Var("%0"), Var("%1")), L1: Var("%1")}),
+        Substitution({R1: app("enc", Var("%1"), Var("%2")), R0: Var("%2")}),
+        AliasMap({L0: R1, L1: R0}),
+        frozenset({"a"}),
+        1,
+    )
+)
 def test_interned_scan_matches_term_scan(problem):
     frame_a, frame_b, rho, consts, depth = problem
     recipes = recipe_enum(frame_a.domain, consts, DY_SIGNATURE, depth, _DY)
