@@ -22,6 +22,8 @@ from .terms import Theory, dolev_yao
 RELATED_EXACT = "RELATED_EXACT"
 RELATED_BOUNDED = "RELATED_BOUNDED"
 DISTINGUISHED = "DISTINGUISHED"
+CLASSES = (RELATED_EXACT, RELATED_BOUNDED, DISTINGUISHED)
+THEORIES = ("empty", "dolev-yao")
 
 
 @dataclass(frozen=True)
@@ -59,15 +61,27 @@ def bounds_from_dict(d: dict) -> ExplorationBounds:
 _CASE_FIELDS = ("name", "left", "right", "relation", "expected")
 
 
+def _one_of(field: str, value, allowed) -> None:
+    if value not in allowed:
+        raise ValueError(f"field {field!r} must be one of {', '.join(allowed)}, not {value!r}")
+
+
 def case_from_dict(d: dict) -> CorpusCase:
-    """A case from its JSON object; a missing field or a malformed bound
+    """A case from its JSON object; a missing or malformed field or bound
     raises ``ValueError`` naming the case and the field or bound."""
     if not isinstance(d, dict):
         raise ValueError(f"corpus case is not a JSON object: {d!r}")
     for field in _CASE_FIELDS:
         if field not in d:
             raise ValueError(f"corpus case {d.get('name', '<unnamed>')!r}: missing field {field!r}")
+    theory = d.get("theory", "empty")
+    st_exhaustive = d.get("st_exhaustive", False)
     try:
+        _one_of("relation", d["relation"], [r.value for r in Rel])
+        _one_of("expected", d["expected"], CLASSES)
+        _one_of("theory", theory, THEORIES)
+        if type(st_exhaustive) is not bool:
+            raise ValueError(f"field 'st_exhaustive' must be true or false, not {st_exhaustive!r}")
         bounds = bounds_from_dict(d.get("bounds", {}))
     except ValueError as exc:
         raise ValueError(f"corpus case {d['name']!r}: {exc}") from None
@@ -78,8 +92,8 @@ def case_from_dict(d: dict) -> CorpusCase:
         relation=Rel(d["relation"]),
         expected=d["expected"],
         bounds=bounds,
-        theory=d.get("theory", "empty"),
-        st_exhaustive=d.get("st_exhaustive", False),
+        theory=theory,
+        st_exhaustive=st_exhaustive,
     )
 
 

@@ -9,6 +9,12 @@ label agrees up to the alias bijection and which meets the relation's
 independence constraints against the remembered pairs.  Frames are compared
 by static tests at every configuration.
 
+Remembered pairs are pairs of event ids: ``enabled_transitions`` interns
+each step's event in the theory's table (``lts.event_id``), so a pair set
+is a set of int pairs, and the independence of two events, or of their
+locations, is decided once per pair of ids per theory.  Witness trees keep
+the events themselves.
+
 Relations differ in who may lead, in how the remembered pairs constrain
 answers, and in whether an extra enabledness round (a failure test) is
 available to the attacker.  Since every transition consumes a prefix or a
@@ -35,6 +41,7 @@ from .lts import (
     ExplorationBounds,
     InLabel,
     OutLabel,
+    Step,
     TauLabel,
     TransitionSet,
     default_consts,
@@ -95,21 +102,16 @@ class GameConfig:
     left: ExtendedProcess
     right: ExtendedProcess
     rho: AliasMap
-    pairs: frozenset  # frozenset of (left Event, right Event)
+    pairs: frozenset  # frozenset of (left event id, right event id)
 
 
-def _pairs_key(pairs):
-    return tuple(sorted((event_key(a), event_key(b)) for a, b in pairs))
-
-
-def _pair_order(pair):
-    return event_key(pair[0]), event_key(pair[1])
-
-
-def _ordered(pairs) -> list:
-    """Remembered pairs in ``event_key`` order, so that scans which stop at
-    the first failing pair make the same calls under any hash seed."""
-    return sorted(pairs, key=_pair_order) if len(pairs) > 1 else list(pairs)
+def _ordered(pairs, keys: list) -> list:
+    """Remembered pairs in the ``event_key`` order of their events, given
+    each id's key, so that ``st_exhaustive`` subsets and scans which stop at
+    the first failing pair do not depend on how ids were assigned."""
+    if len(pairs) < 2:
+        return list(pairs)
+    return sorted(pairs, key=lambda p: (keys[p[0]], keys[p[1]]))
 
 
 # --- witness trees ---------------------------------------------------------
@@ -169,6 +171,7 @@ class Checker:
         self.signature = signature
         self.consts = consts
         self.st_exhaustive = st_exhaustive and rel.family == "st"
+        self.loc_only = rel in (Rel.SIM_ILOC, Rel.BISIM_ILOC)
         self.memo: dict = {}
         self.stack: set = set()
         self.tainted = False
@@ -183,13 +186,26 @@ class Checker:
             self.tainted = True
         return tset
 
-    def indep(self, e0: Event, e1: Event) -> bool:
-        return indep_event(e0, e1)
+    def indep(self, i: int, j: int) -> bool:
+        """Independence of two events given by id, decided once per theory."""
+        table = self.theory.indep
+        hit = table.get((i, j))
+        if hit is None:
+            events = self.theory.events
+            hit = table[i, j] = indep_event(events[i], events[j])
+        return hit
 
-    def cons_indep(self, e0: Event, e1: Event) -> bool:
-        if self.rel in (Rel.SIM_ILOC, Rel.BISIM_ILOC):
-            return indep_loc(e0.loc, e1.loc)
-        return indep_event(e0, e1)
+    def cons_indep(self, i: int, j: int) -> bool:
+        """The independence that the accumulated pairs must preserve: of the
+        locations alone under ``iloc``, of the events otherwise."""
+        if not self.loc_only:
+            return self.indep(i, j)
+        table = self.theory.indep_locs
+        hit = table.get((i, j))
+        if hit is None:
+            events = self.theory.events
+            hit = table[i, j] = indep_loc(events[i].loc, events[j].loc)
+        return hit
 
     def static_witness(self, cfg: GameConfig) -> StaticWitness | None:
         """The static test of the configuration's frames, memoised on the
@@ -224,21 +240,21 @@ class Checker:
 
     # -- round structure --
 
-    def leader_contexts(self, cfg: GameConfig, side: str, event: Event):
-        """Per-family context chosen by the leader alongside a transition;
-        its pairs are tuples in ``event_key`` order."""
+    def leader_contexts(self, cfg: GameConfig, side: str, eid: int):
+        """Per-family context chosen by the leader alongside the transition
+        of event ``eid``; its pairs are tuples in ``event_key`` order."""
         j = 0 if side == "left" else 1
         family = self.rel.family
         if family == "none":
             yield None
             return
-        pairs = _ordered(cfg.pairs)
+        pairs = _ordered(cfg.pairs, self.theory.event_keys)
         if family == "ind":
             yield ("ind", pairs)
             return
         keep, drop = [], []
         for p in pairs:
-            (keep if self.indep(p[j], event) else drop).append(p)
+            (keep if self.indep(p[j], eid) else drop).append(p)
         if family == "st":
             if self.st_exhaustive:
                 for mask in range(1 << len(keep)):
@@ -249,7 +265,8 @@ class Checker:
             yield ("hp", tuple(keep), tuple(drop))
 
     def reply_ok(self, cfg: GameConfig, side: str, ctx, pair) -> bool:
-        """Whether a candidate answer meets the independence constraints."""
+        """Whether a candidate answer, a pair of event ids, meets the
+        independence constraints."""
         k = 1 if side == "left" else 0  # the follower's side of each pair
         reply_event = pair[k]
         if ctx is None:
@@ -274,22 +291,24 @@ class Checker:
             return cfg.pairs | {pair}
         return frozenset((*ctx[1], pair))
 
-    def legal_replies(self, cfg: GameConfig, side: str, event: Event, target, ctx):
-        """All follower answers to a leader move: pairs of the answering
-        event and the successor configuration."""
-        follower_state = cfg.right if side == "left" else cfg.left
+    def legal_replies(self, cfg: GameConfig, side: str, step: Step, ctx, answers: list):
+        """All follower answers to a leader step, drawn from the follower's
+        steps ``answers``: pairs of the answering event and the successor
+        configuration."""
+        event, target = step.event, step.residual
         out = []
         # the follower may draw on phantom firings (beyond the replication
         # budget); the enclosing transition set is already tainted
-        for event2, target2 in ((s.event, s.residual) for s in self.transitions(follower_state).steps):
+        for answer in answers:
+            event2 = answer.event
             if side == "left":
                 rho2 = self.match_label(event.action, event2.action, cfg.rho)
-                pair = (event, event2)
-                left2, right2 = target, target2
+                pair = (step.eid, answer.eid)
+                left2, right2 = target, answer.residual
             else:
                 rho2 = self.match_label(event2.action, event.action, cfg.rho)
-                pair = (event2, event)
-                left2, right2 = target2, target
+                pair = (answer.eid, step.eid)
+                left2, right2 = answer.residual, target
             if rho2 is None:
                 continue
             if not self.reply_ok(cfg, side, ctx, pair):
@@ -297,44 +316,49 @@ class Checker:
             out.append((event2, GameConfig(left2, right2, rho2, self.next_pairs(cfg, ctx, pair))))
         return out
 
-    def failure_witness(self, cfg: GameConfig) -> FailureNode | None:
+    def failure_witness(
+        self, cfg: GameConfig, left: TransitionSet, right: TransitionSet
+    ) -> FailureNode | None:
         """Enabledness round of the failure similarities: find a constrained
         right transition whose label the left side cannot mirror."""
-        right_events = [s.event for s in self.transitions(cfg.right).real_steps]
-        left_events = [s.event for s in self.transitions(cfg.left).steps]
-        pairs = _ordered(cfg.pairs)
-        for event_r in right_events:
+        pairs = _ordered(cfg.pairs, self.theory.event_keys)
+        for step_r in right.real_steps:
             keep, drop = [], []
             for p in pairs:
-                (keep if self.indep(p[1], event_r) else drop).append(p)
+                (keep if self.indep(p[1], step_r.eid) else drop).append(p)
             if self.rel is Rel.FSIM_HP:
 
-                def ok(e_l):
-                    return all(self.indep(p[0], e_l) for p in keep) and all(
-                        not self.indep(p[0], e_l) for p in drop
+                def ok(i):
+                    return all(self.indep(p[0], i) for p in keep) and all(
+                        not self.indep(p[0], i) for p in drop
                     )
 
             else:
 
-                def ok(e_l):
-                    return all(self.indep(p[0], e_l) for p in keep)
+                def ok(i):
+                    return all(self.indep(p[0], i) for p in keep)
 
+            action_r = step_r.event.action
             mirrored = any(
-                self.match_label(event_l.action, event_r.action, cfg.rho) is not None and ok(event_l)
-                for event_l in left_events
+                self.match_label(s.event.action, action_r, cfg.rho) is not None and ok(s.eid)
+                for s in left.steps
             )
             if not mirrored:
-                return FailureNode(event_r)
+                return FailureNode(step_r.event)
         return None
 
     # -- search --
 
+    def memo_key(self, cfg: GameConfig) -> tuple:
+        """The configuration's key in ``memo`` and ``stack``: the ids of its
+        two states' classes, its alias map's key and its remembered pairs."""
+        left, right = state_class(cfg.left, self.theory), state_class(cfg.right, self.theory)
+        return (left, right, cfg.rho.key(), cfg.pairs)
+
     def run(self, cfg: GameConfig, depth: int = 0):
         """Refutation of the configuration, or ``None`` when related within
         bounds.  The configuration is decided on its class representatives."""
-        left = state_class(cfg.left, self.theory)
-        right = state_class(cfg.right, self.theory)
-        key = (left, right, cfg.rho.key(), _pairs_key(cfg.pairs))
+        key = self.memo_key(cfg)
         if key in self.memo:
             return self.memo[key]
         if key in self.stack:
@@ -347,7 +371,7 @@ class Checker:
         self.stack.add(key)
         reps = self.theory.reps
         try:
-            node = self._decide(GameConfig(reps[left], reps[right], cfg.rho, cfg.pairs), depth)
+            node = self._decide(GameConfig(reps[key[0]], reps[key[1]], cfg.rho, cfg.pairs), depth)
         finally:
             self.stack.discard(key)
         self.memo[key] = node
@@ -357,16 +381,25 @@ class Checker:
         w = self.static_witness(cfg)
         if w is not None:
             return StaticNode(w.m, w.n, w.holds_left, w.holds_right)
+        tsets = {}  # side -> its transitions, fetched when first needed
+
+        def fetch(side: str) -> TransitionSet:
+            tset = tsets.get(side)
+            if tset is None:
+                tset = tsets[side] = self.transitions(cfg.left if side == "left" else cfg.right)
+            return tset
+
         if self.rel.has_failure_round:
-            fnode = self.failure_witness(cfg)
+            fnode = self.failure_witness(cfg, fetch("left"), fetch("right"))
             if fnode is not None:
                 return fnode
         sides = ("left", "right") if self.rel.is_bisim else ("left",)
         for side in sides:
-            leader_state = cfg.left if side == "left" else cfg.right
-            for event, target in ((s.event, s.residual) for s in self.transitions(leader_state).real_steps):
-                for ctx in self.leader_contexts(cfg, side, event):
-                    replies = self.legal_replies(cfg, side, event, target, ctx)
+            follower = "right" if side == "left" else "left"
+            for step in fetch(side).real_steps:
+                answers = fetch(follower).steps
+                for ctx in self.leader_contexts(cfg, side, step.eid):
+                    replies = self.legal_replies(cfg, side, step, ctx, answers)
                     refutations = []
                     answered = False
                     for event2, cfg2 in replies:
@@ -376,7 +409,7 @@ class Checker:
                             break
                         refutations.append(ReplyNode(event2, child))
                     if not answered:
-                        return LeadNode(side, event, refutations)
+                        return LeadNode(side, step.event, refutations)
         return None
 
 
@@ -467,19 +500,21 @@ def _replay_node(checker: Checker, cfg: GameConfig, node) -> bool:
     if isinstance(node, FailureNode):
         if not checker.rel.has_failure_round or checker.static_witness(cfg) is not None:
             return False
-        fnode = checker.failure_witness(cfg)
+        left, right = checker.transitions(cfg.left), checker.transitions(cfg.right)
+        fnode = checker.failure_witness(cfg, left, right)
         return fnode is not None and fnode.event == node.event
     if isinstance(node, LeadNode):
         if checker.static_witness(cfg) is not None:
             return False
         if node.side == "right" and not checker.rel.is_bisim:
             return False
-        leader_state = cfg.left if node.side == "left" else cfg.right
-        for event, target in ((s.event, s.residual) for s in checker.transitions(leader_state).real_steps):
-            if event != node.event:
+        leader, follower = (cfg.left, cfg.right) if node.side == "left" else (cfg.right, cfg.left)
+        for step in checker.transitions(leader).real_steps:
+            if step.event != node.event:
                 continue
-            for ctx in checker.leader_contexts(cfg, node.side, event):
-                replies = checker.legal_replies(cfg, node.side, event, target, ctx)
+            answers = checker.transitions(follower).steps
+            for ctx in checker.leader_contexts(cfg, node.side, step.eid):
+                replies = checker.legal_replies(cfg, node.side, step, ctx, answers)
                 recorded = {event_key(r.event): r for r in node.replies}
                 if {event_key(e) for e, _ in replies} != set(recorded):
                     continue

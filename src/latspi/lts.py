@@ -151,6 +151,18 @@ def event_key(e: Event):
     return (loc_key(e.loc), action_key(e.action))
 
 
+def event_id(e: Event, theory: Theory) -> int:
+    """Id of the event in the theory's table, which keeps each id's event
+    (``theory.events``) and ``event_key`` (``theory.event_keys``)."""
+    ids = theory.event_ids
+    i = ids.get(e)
+    if i is None:
+        i = ids[e] = len(theory.events)
+        theory.events.append(e)
+        theory.event_keys.append(event_key(e))
+    return i
+
+
 # --- bounds ----------------------------------------------------------------
 
 
@@ -410,10 +422,12 @@ def fresh_alias(prefix: str, domain: frozenset[Alias]) -> Alias:
 
 @dataclass(frozen=True)
 class Step:
-    """One transition; ``residual`` is the successor as built and ``target``
-    its alpha-canonical form, computed on first read and kept."""
+    """One transition; ``eid`` is the event's id in the theory's table,
+    ``residual`` the successor as built and ``target`` its alpha-canonical
+    form, computed on first read and kept."""
 
     event: Event
+    eid: int
     residual: ExtendedProcess
     phantom: bool = False
 
@@ -445,7 +459,7 @@ def enabled_transitions(
     ``bounds.recipe_depth``; each output extends the frame at an alias
     rooted at the firing location's parallel prefix.  ``A`` must be
     canonical (alpha-canonical or a class representative), never a raw
-    residual; the steps carry raw residuals."""
+    residual; the steps carry raw residuals and their events' ids."""
     cache = theory.enabled
     key = (A, bounds, signature, consts)
     hit = cache.get(key)
@@ -470,7 +484,8 @@ def enabled_transitions(
             frame2 = A.frame.extend(alias, theory.normalize(t.payload))
             residual = ExtendedProcess(binders, frame2, t.cont)
             for m in chan_recipes(t.chan):
-                steps.append(Step(Event(OutLabel(m, alias), t.loc), residual, t.phantom))
+                e = Event(OutLabel(m, alias), t.loc)
+                steps.append(Step(e, event_id(e, theory), residual, t.phantom))
         elif isinstance(t, PIn):
             chans = chan_recipes(t.chan)
             if not chans:
@@ -481,12 +496,15 @@ def enabled_transitions(
             ]
             for m in chans:
                 for n, residual in zip(recipes, residuals):
-                    steps.append(Step(Event(InLabel(m, n), t.loc), residual, t.phantom))
+                    e = Event(InLabel(m, n), t.loc)
+                    steps.append(Step(e, event_id(e, theory), residual, t.phantom))
         else:
             residual = ExtendedProcess(binders, A.frame, t.cont)
-            steps.append(Step(Event(TauLabel(), t.loc), residual, t.phantom))
+            e = Event(TauLabel(), t.loc)
+            steps.append(Step(e, event_id(e, theory), residual, t.phantom))
 
-    steps.sort(key=lambda s: (s.phantom, event_key(s.event)))
+    keys = theory.event_keys
+    steps.sort(key=lambda s: (s.phantom, keys[s.eid]))
     result = TransitionSet(steps, tainted)
     cache[key] = result
     return result

@@ -184,6 +184,15 @@ class Theory:
         # game, ``reachable_lts`` and ``diamond_check`` share them
         self.classes: dict = {}
         self.reps: list = []
+        # event -> its id, and id -> the event and its ``event_key``
+        # (``lts.event_id``); the game remembers and compares events by id
+        self.event_ids: dict = {}
+        self.events: list = []
+        self.event_keys: list = []
+        # (id, id) -> ``indep_event`` of the two events, and -> ``indep_loc``
+        # of their locations (``games.Checker``)
+        self.indep: dict = {}
+        self.indep_locs: dict = {}
 
     def symbols(self) -> frozenset[Symbol]:
         syms: frozenset[Symbol] = frozenset()
@@ -325,12 +334,14 @@ class NormalForms:
 
 
 class Substitution:
-    """A finite map from aliases to messages, applied in suffix form."""
+    """A finite map from aliases to messages, applied in suffix form.
+    Immutable: its hash is computed on first use and kept."""
 
-    __slots__ = ("mapping",)
+    __slots__ = ("mapping", "_hash")
 
     def __init__(self, mapping: Mapping[Alias, Message] = ()):
         self.mapping: dict[Alias, Message] = {a: m for a, m in dict(mapping).items() if m != a}
+        self._hash = None
 
     @property
     def domain(self) -> frozenset[Alias]:
@@ -343,7 +354,9 @@ class Substitution:
         return isinstance(other, Substitution) and self.mapping == other.mapping
 
     def __hash__(self):
-        return hash(tuple(sorted(self.mapping.items(), key=lambda kv: msg_key(kv[0]))))
+        if self._hash is None:
+            self._hash = hash(tuple(self.items()))
+        return self._hash
 
     def __bool__(self):
         return bool(self.mapping)
@@ -377,15 +390,17 @@ def apply_msg_subst(m: Message, s: Substitution) -> Message:
 
 
 class AliasMap:
-    """A finite injective map from aliases to aliases."""
+    """A finite injective map from aliases to aliases.  Immutable: its key
+    is computed on first use and kept."""
 
-    __slots__ = ("mapping",)
+    __slots__ = ("mapping", "_key")
 
     def __init__(self, mapping: Mapping[Alias, Alias] = ()):
         mapping = dict(mapping)
         if len(set(mapping.values())) != len(mapping):
             raise ValueError("alias map must be injective")
         self.mapping = mapping
+        self._key = None
 
     @property
     def domain(self) -> frozenset[Alias]:
@@ -405,7 +420,11 @@ class AliasMap:
         return hash(self.key())
 
     def key(self):
-        return tuple(sorted(((a.prefix, a.stem), (b.prefix, b.stem)) for a, b in self.mapping.items()))
+        if self._key is None:
+            self._key = tuple(
+                sorted(((a.prefix, a.stem), (b.prefix, b.stem)) for a, b in self.mapping.items())
+            )
+        return self._key
 
     def extend(self, a: Alias, b: Alias) -> "AliasMap":
         if a in self.mapping or b in set(self.mapping.values()):

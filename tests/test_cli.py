@@ -337,10 +337,10 @@ def test_explain_malformed_witness_exits_two(files, capsys, content):
     assert err.startswith("error: malformed witness file") and "Traceback" not in err
 
 
-def _bounded_case(bounds):
+def _bounded_case(bounds, **fields):
     # distinguished at the default bounds; game_depth=-1 made it related
     case = {"name": "neg", "relation": "sim-i", "expected": "DISTINGUISHED"}
-    case.update(left="out(a, m) | out(b, m)", right="out(a, m)", bounds=bounds)
+    case.update(left="out(a, m) | out(b, m)", right="out(a, m)", bounds=bounds, **fields)
     return {"cases": [case]}
 
 
@@ -356,6 +356,10 @@ def _bounded_case(bounds):
         (_bounded_case({"game_depth": "3"}), "'neg': bound 'game_depth' must be a non-negative"),
         (_bounded_case({"recipe_depth": True}), "'neg': bound 'recipe_depth' must be a non-negative"),
         (_bounded_case({"game_dept": 0}), "'neg': unknown bound 'game_dept'"),
+        (_bounded_case({}, theory="dolev_yao"), "'neg': field 'theory' must be one of"),
+        (_bounded_case({}, expected="RELATED"), "'neg': field 'expected' must be one of"),
+        (_bounded_case({}, st_exhaustive="yes"), "'neg': field 'st_exhaustive' must be true or false"),
+        (_bounded_case({}, relation="sim-x"), "'neg': field 'relation' must be one of"),
     ],
     ids=[
         "without-cases",
@@ -364,6 +368,10 @@ def _bounded_case(bounds):
         "string-bound",
         "bool-bound",
         "misspelt-bound",
+        "unknown-theory",
+        "unknown-class",
+        "string-st-exhaustive",
+        "unknown-relation",
     ],
 )
 def test_corpus_malformed_file_exits_two(files, capsys, content, missing):

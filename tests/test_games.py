@@ -25,9 +25,9 @@ from latspi.games import (
     witness_replay,
 )
 from latspi.knowledge import _scan, recipe_enum, static_equiv_witness
-from latspi.lts import ExplorationBounds, default_consts, state_class
+from latspi.lts import ExplorationBounds, default_consts
 from latspi.syntax import ExtendedProcess, alpha_canonical, congruence_key, parse_process
-from latspi.terms import Alias, AliasMap, Substitution, Theory, Var, app, dolev_yao
+from latspi.terms import Alias, AliasMap, Substitution, Theory, Var, app, dolev_yao, msg_key
 
 B = ExplorationBounds(recipe_depth=1, static_depth=1, repl_unfold=2, game_depth=12)
 
@@ -203,8 +203,7 @@ def test_stack_hit_taints():
     p, q = parse_process("out(a, a)"), parse_process("0")
     cfg = initial_config(p, q, B)
     checker = Checker(Rel.SIM_I, theory, B, build_signature(theory, p, q), default_consts(p, q))
-    key = (state_class(cfg.left, theory), state_class(cfg.right, theory), cfg.rho.key(), ())
-    checker.stack.add(key)
+    checker.stack.add(checker.memo_key(cfg))
     assert checker.run(cfg) is None and checker.tainted
     fresh = Checker(Rel.SIM_I, theory, B, checker.signature, checker.consts)
     assert fresh.run(cfg) is not None  # the configuration is refutable
@@ -370,6 +369,39 @@ def test_search_canonicalises_only_the_states_it_visits(monkeypatch):
     assert len(keyed) < built / 2  # most successors are never canonicalised
 
 
+# --- event ids -------------------------------------------------------------
+
+
+def test_each_event_pair_is_tested_once_per_theory(monkeypatch):
+    # the 13 relations and their replays on one pair share one theory
+    case = next(c for c in load_corpus() if c.name == "fresh-vs-hash-sim-hp")
+    calls = {"indep_event": [], "indep_loc": []}
+    for name, seen in calls.items():
+
+        def counting(a, b, _test=getattr(games, name), _seen=seen):
+            _seen.append((a, b))
+            return _test(a, b)
+
+        monkeypatch.setattr(games, name, counting)
+    p, q = parse_process(case.left), parse_process(case.right)
+    theory = case_theory(case)
+    for rel in Rel:
+        v = check(rel, p, q, case.bounds, theory)
+        assert v.related or witness_replay(v, p, q, theory)
+    assert len(calls["indep_event"]) == len(set(calls["indep_event"])) == len(theory.indep) > 0
+    assert len(calls["indep_loc"]) == len(theory.indep_locs) > 0
+
+    # every step's id names its event, and equal events share one id
+    ids, sets_of = {}, {}
+    for n, tset in enumerate(theory.enabled.values()):
+        for s in tset.steps:
+            assert theory.events[s.eid] == s.event
+            assert ids.setdefault(s.event, s.eid) == s.eid
+            sets_of.setdefault(s.eid, set()).add(n)
+    assert len(ids) == len(theory.events) == len(theory.event_keys)
+    assert any(len(sets) > 1 for sets in sets_of.values())  # met in several sets
+
+
 INDEP_COUNT = """
 import sys
 from latspi import games
@@ -391,21 +423,27 @@ for rel in games.Rel:
     v = games.check(rel, p, q, case.bounds, theory)
     assert v.related or games.witness_replay(v, p, q, theory)
 print(calls[0])
+for key in theory.event_keys:
+    print(key)
 """
 
 
 def test_indep_calls_do_not_depend_on_the_hash_seed():
     # scans over the remembered pairs stop at the first failing pair, so
-    # they must visit the pairs in an order that string hashing cannot move
+    # they must visit the pairs in an order that string hashing cannot move;
+    # memo keys and the order of independence tests follow the event ids,
+    # so the events must be interned in that order too
     src = os.path.join(os.path.dirname(games.__file__), os.pardir)
-    counts = set()
+    outputs = set()
     for seed in ("1", "2"):
         env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.path.abspath(src))
         out = subprocess.run(
             [sys.executable, "-c", INDEP_COUNT], env=env, capture_output=True, text=True, check=True
         )
-        counts.add(int(out.stdout))
-    assert len(counts) == 1 and counts.pop() > 0
+        outputs.add(out.stdout)
+    assert len(outputs) == 1
+    count, *keys = outputs.pop().splitlines()
+    assert int(count) > 0 and len(keys) > 1
 
 
 def test_class_ids_agree_with_congruence_keys():
@@ -420,17 +458,40 @@ def test_class_ids_agree_with_congruence_keys():
             assert (i == j) == (k == l), (s, t)
 
 
-def test_equal_states_hash_equal_before_and_after_caching():
-    def build():
-        frame = Substitution({Alias("0", "l"): app("h", Var("n"))})
-        return ExtendedProcess(("n",), frame, parse_process("out(a, n) | in(b, x)"))
+def _frame():
+    return Substitution({Alias("1", "l"): Var("m"), Alias("0", "l"): app("h", Var("n"))})
 
-    a, b = build(), build()
-    assert a is not b and a == b
-    assert hash(a) == hash(b)  # neither cached before this line
-    assert hash(a) == hash(b) == hash(build())  # cached, cached, fresh
-    assert hash(a) == hash((a.binders, a.frame, a.body))  # the field-wise hash
-    assert {a: 1}[build()] == 1
+
+def _alias_map():
+    return AliasMap({Alias("1", "l"): Alias("0", "l"), Alias("0", "l"): Alias("1", "l'")})
+
+
+def _alias_map_key(m):
+    return tuple(sorted(((a.prefix, a.stem), (b.prefix, b.stem)) for a, b in m.mapping.items()))
+
+
+# (build, digest, the digest computed from the fields); the frame's hash and
+# the alias map's key are cached as the state's hash is
+CACHED_DIGESTS = [
+    (
+        lambda: ExtendedProcess(("n",), _frame(), parse_process("out(a, n) | in(b, x)")),
+        hash,
+        lambda a: hash((a.binders, a.frame, a.body)),
+    ),
+    (_frame, hash, lambda s: hash(tuple(sorted(s.mapping.items(), key=lambda kv: msg_key(kv[0]))))),
+    (_alias_map, AliasMap.key, _alias_map_key),
+    (_alias_map, hash, lambda m: hash(_alias_map_key(m))),
+]
+
+
+def test_equal_states_hash_equal_before_and_after_caching():
+    for build, digest, fieldwise in CACHED_DIGESTS:
+        a, b = build(), build()
+        assert a is not b and a == b
+        assert digest(a) == digest(b)  # neither cached before this line
+        assert digest(a) == digest(b) == digest(build())  # cached, cached, fresh
+        assert digest(a) == fieldwise(a)
+        assert {a: 1}[build()] == 1
 
 
 if __name__ == "__main__":
