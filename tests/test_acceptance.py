@@ -6,7 +6,9 @@ module re-runs them through the public API and checks the exact verdict
 classes, witness shapes, and cross-cutting properties.
 """
 
+import json
 from dataclasses import replace
+from pathlib import Path
 
 from latspi.corpus import (
     DISTINGUISHED,
@@ -234,10 +236,23 @@ BISIM_TO_SIM = [
     (Rel.BISIM_I, Rel.SIM_I),
     (Rel.BISIM_ST, Rel.SIM_ST),
     (Rel.BISIM_HP, Rel.SIM_HP),
+    (Rel.BISIM_ILOC, Rel.SIM_ILOC),
+    (Rel.BISIM_IFULL, Rel.SIM_IFULL),
+]
+FAILURE_EDGES = [
+    (Rel.FSIM_HP, Rel.FSIM_ST),
+    (Rel.FSIM_ST, Rel.SIM_ST),
+    (Rel.FSIM_HP, Rel.SIM_HP),
 ]
 
+# every relation's class on every distinct corpus pair, as
+# ``python tests/test_acceptance.py`` writes them
+GOLDEN_SPECTRUM = Path(__file__).parent / "data" / "spectrum_classes.json"
 
-def test_criterion_15_hierarchy_and_st_oracle():
+
+def corpus_spectrum():
+    """Each distinct corpus pair, named by its first case, with its bounds,
+    theory and its verdict under every relation."""
     pairs = {}
     for c in load_corpus():
         pairs.setdefault((c.left, c.right, c.theory), c)
@@ -248,18 +263,38 @@ def test_criterion_15_hierarchy_and_st_oracle():
         replicated = "!" in left_src or "!" in right_src
         if replicated and c.theory == "dolev-yao":
             bounds = replace(bounds, game_depth=6)
-        verdicts = {
-            rel: check(rel, left, right, bounds, theory).related
-            for rel in (Rel.PRESIM_I, Rel.SIM_I, Rel.SIM_ST, Rel.SIM_HP,
-                        Rel.BISIM_I, Rel.BISIM_ST, Rel.BISIM_HP)
-        }
+        verdicts = {rel: check(rel, left, right, bounds, theory) for rel in Rel}
+        yield c, left, right, bounds, theory, replicated, verdicts
+
+
+def spectrum_classes(rows) -> str:
+    pairs = [
+        {"name": c.name, "classes": {rel.value: verdict_class(v) for rel, v in verdicts.items()}}
+        for c, *_, verdicts in rows
+    ]
+    return json.dumps({"pairs": pairs}, indent=2) + "\n"
+
+
+def test_criterion_15_hierarchy_and_st_oracle():
+    rows = list(corpus_spectrum())
+    for c, left, right, bounds, theory, replicated, verdicts in rows:
+        related = {rel: v.related for rel, v in verdicts.items()}
         for finer, coarser in zip(SIM_CHAIN, SIM_CHAIN[1:]):
-            assert not verdicts[finer] or verdicts[coarser], (c.name, finer, coarser)
-        for bisim, sim in BISIM_TO_SIM:
-            assert not verdicts[bisim] or verdicts[sim], (c.name, bisim)
+            assert not related[finer] or related[coarser], (c.name, finer, coarser)
+        for finer, coarser in BISIM_TO_SIM + FAILURE_EDGES:
+            assert not related[finer] or related[coarser], (c.name, finer, coarser)
         if not replicated:
             for rel in (Rel.SIM_ST, Rel.BISIM_ST, Rel.FSIM_ST):
-                fast = check(rel, left, right, bounds, theory).related
                 slow = check(rel, left, right, bounds, theory, st_exhaustive=True).related
-                assert fast == slow, (c.name, rel)
-    passed(15, "hierarchy respected corpus-wide; maximal retention matches the exhaustive oracle")
+                assert related[rel] == slow, (c.name, rel)
+    assert len(rows) == 19
+    assert spectrum_classes(rows) == GOLDEN_SPECTRUM.read_bytes().decode()
+    passed(15, "hierarchy respected corpus-wide on all 13 relations; maximal retention "
+               "matches the exhaustive oracle")
+
+
+if __name__ == "__main__":
+    # regenerate the golden spectrum after a deliberate change of a class:
+    # PYTHONPATH=src python tests/test_acceptance.py
+    GOLDEN_SPECTRUM.parent.mkdir(exist_ok=True)
+    GOLDEN_SPECTRUM.write_text(spectrum_classes(corpus_spectrum()))
