@@ -15,9 +15,17 @@ is a set of int pairs, and the independence of two events, or of their
 locations, is decided once per pair of ids per theory.  Witness trees keep
 the events themselves.
 
-Relations differ in who may lead, in how the remembered pairs constrain
-answers, and in whether an extra enabledness round (a failure test) is
-available to the attacker.  Since every transition consumes a prefix or a
+Relations differ in who may lead, in whether an extra enabledness round (a
+failure test) is open to the attacker, and in what the remembered pairs ask
+of an answer.  One rule covers that: a leader move of event ``e`` yields
+demands ``(d, want)``, each asking that the answer's independence from the
+follower's remembered event ``d`` be ``want``, and the pairs kept after the
+round.  ST demands independence wherever a pair's leader side is independent
+of ``e`` and keeps those pairs, the events still running; HP demands the
+leader side's bit for every pair and keeps the independent ones; ``iloc`` and
+``ifull`` demand the bit for every pair and keep them all; the interleaving
+relations demand and keep nothing.  The failure round applies the same rule
+to the right side's move.  Since every transition consumes a prefix or a
 replication budget, the bounded game tree is finite and is explored by a
 memoized AND-OR search.  Configurations are memoized on the ids of the
 congruence classes of their two states, which the theory interns
@@ -53,7 +61,6 @@ from .lts import (
 from .syntax import (
     ExtendedProcess,
     Process,
-    alpha_canonical,
     from_process,
     prime_bangs,
     symbols_of,
@@ -86,8 +93,7 @@ class Rel(Enum):
 
     @property
     def family(self) -> str:
-        """Which pair-set discipline the relation uses: none, ST retention,
-        HP forced partitions, or accumulated independence consistency."""
+        """The reply rule's pair discipline: none, st, hp or ind."""
         if self in (Rel.PRESIM_I, Rel.SIM_I, Rel.BISIM_I):
             return "none"
         if self in (Rel.SIM_ST, Rel.BISIM_ST, Rel.FSIM_ST):
@@ -171,7 +177,11 @@ class Checker:
         self.signature = signature
         self.consts = consts
         self.st_exhaustive = st_exhaustive and rel.family == "st"
-        self.loc_only = rel in (Rel.SIM_ILOC, Rel.BISIM_ILOC)
+        if rel in (Rel.SIM_ILOC, Rel.BISIM_ILOC):
+            self.indep_table = theory.indep_locs
+            self.indep_test = lambda e0, e1: indep_loc(e0.loc, e1.loc)
+        else:
+            self.indep_table, self.indep_test = theory.indep, indep_event
         self.memo: dict = {}
         self.stack: set = set()
         self.tainted = False
@@ -187,24 +197,14 @@ class Checker:
         return tset
 
     def indep(self, i: int, j: int) -> bool:
-        """Independence of two events given by id, decided once per theory."""
-        table = self.theory.indep
+        """Independence of a remembered event ``i`` and a new event ``j``,
+        given by id and decided once per theory: of their locations alone
+        under ``iloc``, of the events otherwise."""
+        table = self.indep_table
         hit = table.get((i, j))
         if hit is None:
             events = self.theory.events
-            hit = table[i, j] = indep_event(events[i], events[j])
-        return hit
-
-    def cons_indep(self, i: int, j: int) -> bool:
-        """The independence that the accumulated pairs must preserve: of the
-        locations alone under ``iloc``, of the events otherwise."""
-        if not self.loc_only:
-            return self.indep(i, j)
-        table = self.theory.indep_locs
-        hit = table.get((i, j))
-        if hit is None:
-            events = self.theory.events
-            hit = table[i, j] = indep_loc(events[i].loc, events[j].loc)
+            hit = table[i, j] = self.indep_test(events[i], events[j])
         return hit
 
     def static_witness(self, cfg: GameConfig) -> StaticWitness | None:
@@ -240,61 +240,42 @@ class Checker:
 
     # -- round structure --
 
-    def leader_contexts(self, cfg: GameConfig, side: str, eid: int):
-        """Per-family context chosen by the leader alongside the transition
-        of event ``eid``; its pairs are tuples in ``event_key`` order."""
+    def rule(self, cfg: GameConfig, side: str, eid: int) -> tuple:
+        """``(demands, kept)`` for the leader's move of event ``eid`` on
+        ``side``, under maximal retention; ``kept`` is ``None`` when the
+        relation remembers no pairs."""
+        family = self.rel.family
+        if family == "none":
+            return (), None
         j = 0 if side == "left" else 1
-        family = self.rel.family
-        if family == "none":
-            yield None
-            return
-        pairs = _ordered(cfg.pairs, self.theory.event_keys)
-        if family == "ind":
-            yield ("ind", pairs)
-            return
-        keep, drop = [], []
-        for p in pairs:
-            (keep if self.indep(p[j], eid) else drop).append(p)
-        if family == "st":
-            if self.st_exhaustive:
-                for mask in range(1 << len(keep)):
-                    yield ("st", tuple(keep[i] for i in range(len(keep)) if mask >> i & 1))
-            else:
-                yield ("st", tuple(keep))
-        else:  # hp: the partition is forced
-            yield ("hp", tuple(keep), tuple(drop))
+        demands, kept = [], []
+        for p in _ordered(cfg.pairs, self.theory.event_keys):
+            bit = self.indep(p[j], eid)
+            if bit or family != "st":
+                demands.append((p[1 - j], bit))
+            if bit or family == "ind":
+                kept.append(p)
+        return demands, kept
 
-    def reply_ok(self, cfg: GameConfig, side: str, ctx, pair) -> bool:
-        """Whether a candidate answer, a pair of event ids, meets the
-        independence constraints."""
-        k = 1 if side == "left" else 0  # the follower's side of each pair
-        reply_event = pair[k]
-        if ctx is None:
-            return True
-        if ctx[0] == "ind":
-            for d in ctx[1]:
-                if self.cons_indep(pair[0], d[0]) != self.cons_indep(pair[1], d[1]):
-                    return False
-            return True
-        if ctx[0] == "st":
-            return all(self.indep(p[k], reply_event) for p in ctx[1])
-        assert ctx[0] == "hp"
-        return all(self.indep(p[k], reply_event) for p in ctx[1]) and all(
-            not self.indep(p[k], reply_event) for p in ctx[2]
-        )
-
-    def next_pairs(self, cfg: GameConfig, ctx, pair) -> frozenset:
-        family = self.rel.family
-        if family == "none":
-            return frozenset()
-        if family == "ind":
-            return cfg.pairs | {pair}
-        return frozenset((*ctx[1], pair))
+    def leader_contexts(self, cfg: GameConfig, side: str, eid: int):
+        """The contexts ``(demands, kept)`` the leader may choose alongside
+        the move of event ``eid``: the rule's, or under ``st_exhaustive``
+        the rule restricted to each subset of its kept pairs, the empty
+        subset first."""
+        demands, kept = self.rule(cfg, side, eid)
+        if not self.st_exhaustive:
+            yield demands, kept
+            return
+        for mask in range(1 << len(kept)):
+            chosen = [i for i in range(len(kept)) if mask >> i & 1]
+            yield [demands[i] for i in chosen], [kept[i] for i in chosen]
 
     def legal_replies(self, cfg: GameConfig, side: str, step: Step, ctx, answers: list):
-        """All follower answers to a leader step, drawn from the follower's
-        steps ``answers``: pairs of the answering event and the successor
-        configuration."""
+        """All follower answers to a leader step in the context
+        ``(demands, kept)``, drawn from the follower's steps ``answers``:
+        pairs of the answering event and the successor configuration."""
+        demands, kept = ctx
+        indep = self.indep
         event, target = step.event, step.residual
         out = []
         # the follower may draw on phantom firings (beyond the replication
@@ -311,39 +292,21 @@ class Checker:
                 left2, right2 = answer.residual, target
             if rho2 is None:
                 continue
-            if not self.reply_ok(cfg, side, ctx, pair):
+            if demands and any(indep(d, answer.eid) != want for d, want in demands):
                 continue
-            out.append((event2, GameConfig(left2, right2, rho2, self.next_pairs(cfg, ctx, pair))))
+            pairs = frozenset() if kept is None else frozenset((*kept, pair))
+            out.append((event2, GameConfig(left2, right2, rho2, pairs)))
         return out
 
     def failure_witness(
         self, cfg: GameConfig, left: TransitionSet, right: TransitionSet
     ) -> FailureNode | None:
-        """Enabledness round of the failure similarities: find a constrained
-        right transition whose label the left side cannot mirror."""
-        pairs = _ordered(cfg.pairs, self.theory.event_keys)
+        """Enabledness round of the failure similarities: find a right
+        transition that no left transition answers under the reply rule,
+        with maximal retention."""
         for step_r in right.real_steps:
-            keep, drop = [], []
-            for p in pairs:
-                (keep if self.indep(p[1], step_r.eid) else drop).append(p)
-            if self.rel is Rel.FSIM_HP:
-
-                def ok(i):
-                    return all(self.indep(p[0], i) for p in keep) and all(
-                        not self.indep(p[0], i) for p in drop
-                    )
-
-            else:
-
-                def ok(i):
-                    return all(self.indep(p[0], i) for p in keep)
-
-            action_r = step_r.event.action
-            mirrored = any(
-                self.match_label(s.event.action, action_r, cfg.rho) is not None and ok(s.eid)
-                for s in left.steps
-            )
-            if not mirrored:
+            ctx = self.rule(cfg, "right", step_r.eid)
+            if not self.legal_replies(cfg, "right", step_r, ctx, left.steps):
                 return FailureNode(step_r.event)
         return None
 
@@ -417,8 +380,8 @@ class Checker:
 
 
 def initial_config(p: Process, q: Process, bounds: ExplorationBounds) -> GameConfig:
-    left = alpha_canonical(from_process(prime_bangs(p, bounds.repl_unfold)))
-    right = alpha_canonical(from_process(prime_bangs(q, bounds.repl_unfold)))
+    left = from_process(prime_bangs(p, bounds.repl_unfold))
+    right = from_process(prime_bangs(q, bounds.repl_unfold))
     return GameConfig(left, right, ID_ALIAS, frozenset())
 
 
