@@ -160,6 +160,27 @@ def test_st_exhaustive_oracle_agrees(rel):
         assert fast.related == slow.related, (rel, left, right)
 
 
+def test_failure_round_keeps_maximal_retention_under_st_exhaustive():
+    # after out(a, x) on both sides, the right's out(a, y) is independent of
+    # the remembered pair and the left's is not; the left mirrors it only
+    # under the empty retained subset, which st_exhaustive tries first
+    theory = Theory(())
+    p = parse_process("new x,y.out(a,x).out(a,y)")
+    q = parse_process("new x,y.(out(a,x) | out(a,y))")
+    signature, consts = build_signature(theory, p, q), default_consts(p, q)
+    checker = Checker(Rel.FSIM_ST, theory, B, signature, consts, st_exhaustive=True)
+    cfg = initial_config(p, q, B)
+    (step,) = checker.transitions(cfg.left).real_steps
+    (ctx,) = checker.leader_contexts(cfg, "left", step.eid)
+    _, cfg2 = checker.legal_replies(cfg, "left", step, ctx, checker.transitions(cfg.right).steps)[0]
+    left, right = checker.transitions(cfg2.left), checker.transitions(cfg2.right)
+    (step_r,) = right.real_steps
+    empty = next(checker.leader_contexts(cfg2, "right", step_r.eid))
+    assert empty == ([], []) and checker.legal_replies(cfg2, "right", step_r, empty, left.steps)
+    node = checker.failure_witness(cfg2, left, right)
+    assert isinstance(node, FailureNode) and node.event == step_r.event
+
+
 # --- corpus spot checks ----------------------------------------------------
 
 
