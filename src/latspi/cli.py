@@ -44,11 +44,14 @@ from .lts import (
 from .syntax import ParseError, from_process, parse_pi_file, prime_bangs, to_text
 from .terms import (
     ID_ALIAS,
+    Alias,
+    App,
     RewriteBudgetExceeded,
     Substitution,
     Theory,
     TheoryError,
     dolev_yao,
+    free_vars,
     msg_symbols,
     parse_message,
     parse_theory,
@@ -180,8 +183,6 @@ _ALIAS_RE = re.compile(r"([01]*)(l'*)\Z")
 
 def _aliasify(m):
     """In frame and test contexts, names shaped like ``01l'`` are aliases."""
-    from .terms import Alias, App
-
     if isinstance(m, Var):
         match = _ALIAS_RE.match(m.name)
         return Alias(match.group(1), match.group(2)) if match else m
@@ -191,8 +192,6 @@ def _aliasify(m):
 
 
 def _parse_alias(text: str):
-    from .terms import Alias
-
     m = _ALIAS_RE.match(text)
     if not m:
         raise CliError(f"malformed alias: {text!r}")
@@ -246,8 +245,8 @@ def cmd_indep(args) -> int:
     uniq = []
     seen = set()
     for s in steps:
-        if str(s.event) not in seen:
-            seen.add(str(s.event))
+        if s.eid not in seen:
+            seen.add(s.eid)
             uniq.append(s.event)
     events = [str(e) for e in uniq]
     pairs = []
@@ -319,8 +318,6 @@ def cmd_static_equiv(args) -> int:
 
 
 def _free_public(term):
-    from .terms import free_vars
-
     return {v for v in free_vars(term) if not v.startswith("%")}
 
 
@@ -518,9 +515,9 @@ def main(argv: list[str] | None = None) -> int:
     except (CliError, ParseError, TheoryError, OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (RecipeLimitExceeded, RewriteBudgetExceeded, RecursionError) as exc:
+    except (RecipeLimitExceeded, RewriteBudgetExceeded, RecursionError, MemoryError) as exc:
         # exit 1 would read as "distinguished"
-        print(f"error: resource limit hit: {exc}", file=sys.stderr)
+        print(f"error: resource limit hit: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

@@ -300,6 +300,19 @@ def test_deep_input_exits_two(files, capsys, command):
     assert err.startswith("error: resource limit hit: ") and "Traceback" not in err
 
 
+def test_memory_exhaustion_exits_two(files, capsys, monkeypatch):
+    # indep on a process with tens of thousands of initial events can run
+    # out of memory; that is a resource limit, not a refutation
+    def raising(*args):
+        raise MemoryError
+
+    monkeypatch.setattr("latspi.cli.indep_event", raising)
+    f = files("p.pi", "new x.(out(a,x) | out(b,h(x)))")
+    code, out, err = run(capsys, "indep", f, "--bounds", "depth=0")
+    assert code == 2 and out == ""
+    assert err == "error: resource limit hit: MemoryError\n"
+
+
 def test_corpus_failure_is_reported_not_crash(files, capsys):
     sub = files(
         "bad.json",
