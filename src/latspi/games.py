@@ -271,13 +271,13 @@ class Checker:
             yield [demands[i] for i in chosen], [kept[i] for i in chosen]
 
     def legal_replies(self, cfg: GameConfig, side: str, step: Step, ctx, answers: list):
-        """All follower answers to a leader step in the context
-        ``(demands, kept)``, drawn from the follower's steps ``answers``:
-        pairs of the answering event and the successor configuration."""
+        """The follower's answers to a leader step in the context
+        ``(demands, kept)``, drawn in order from the follower's steps
+        ``answers``: pairs of the answering event and the successor
+        configuration, each built only when the caller asks for it."""
         demands, kept = ctx
         indep = self.indep
         event, target = step.event, step.residual
-        out = []
         # the follower may draw on phantom firings (beyond the replication
         # budget); the enclosing transition set is already tainted
         for answer in answers:
@@ -295,8 +295,7 @@ class Checker:
             if demands and any(indep(d, answer.eid) != want for d, want in demands):
                 continue
             pairs = frozenset() if kept is None else frozenset((*kept, pair))
-            out.append((event2, GameConfig(left2, right2, rho2, pairs)))
-        return out
+            yield event2, GameConfig(left2, right2, rho2, pairs)
 
     def failure_witness(
         self, cfg: GameConfig, left: TransitionSet, right: TransitionSet
@@ -306,7 +305,7 @@ class Checker:
         with maximal retention."""
         for step_r in right.real_steps:
             ctx = self.rule(cfg, "right", step_r.eid)
-            if not self.legal_replies(cfg, "right", step_r, ctx, left.steps):
+            if next(self.legal_replies(cfg, "right", step_r, ctx, left.steps), None) is None:
                 return FailureNode(step_r.event)
         return None
 
@@ -477,7 +476,7 @@ def _replay_node(checker: Checker, cfg: GameConfig, node) -> bool:
                 continue
             answers = checker.transitions(follower).steps
             for ctx in checker.leader_contexts(cfg, node.side, step.eid):
-                replies = checker.legal_replies(cfg, node.side, step, ctx, answers)
+                replies = list(checker.legal_replies(cfg, node.side, step, ctx, answers))
                 recorded = {event_key(r.event): r for r in node.replies}
                 if {event_key(e) for e, _ in replies} != set(recorded):
                     continue

@@ -172,11 +172,11 @@ def test_failure_round_keeps_maximal_retention_under_st_exhaustive():
     cfg = initial_config(p, q, B)
     (step,) = checker.transitions(cfg.left).real_steps
     (ctx,) = checker.leader_contexts(cfg, "left", step.eid)
-    _, cfg2 = checker.legal_replies(cfg, "left", step, ctx, checker.transitions(cfg.right).steps)[0]
+    _, cfg2 = next(checker.legal_replies(cfg, "left", step, ctx, checker.transitions(cfg.right).steps))
     left, right = checker.transitions(cfg2.left), checker.transitions(cfg2.right)
     (step_r,) = right.real_steps
     empty = next(checker.leader_contexts(cfg2, "right", step_r.eid))
-    assert empty == ([], []) and checker.legal_replies(cfg2, "right", step_r, empty, left.steps)
+    assert empty == ([], []) and list(checker.legal_replies(cfg2, "right", step_r, empty, left.steps))
     node = checker.failure_witness(cfg2, left, right)
     assert isinstance(node, FailureNode) and node.event == step_r.event
 
