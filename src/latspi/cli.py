@@ -3,8 +3,9 @@
 Subcommands: ``parse``, ``lts``, ``indep``, ``static-equiv``, ``check``,
 ``diamonds``, ``corpus``, ``explain``.  Exit codes for decision commands:
 0 when the queried property holds (Related / equivalent / no violations),
-1 when refuted, 2 on errors, a recipe, rewrite or recursion limit hit
-included.  Each command builds its own theory, which owns every cache.
+1 when refuted, 2 on errors, a recipe, rewrite, recursion, memory or
+``indep`` pair limit hit included.  Each command builds its own theory,
+which owns every cache.
 """
 
 from __future__ import annotations
@@ -62,6 +63,15 @@ from .terms import (
 
 class CliError(Exception):
     pass
+
+
+class PairLimitExceeded(Exception):
+    """``indep`` would list more pairs of events than ``MAX_INDEP_PAIRS``."""
+
+
+# ``indep`` lists every pair of distinct initial events; a Dolev-Yao corpus
+# system at the default bounds has about 24,400 of them, some 298M pairs
+MAX_INDEP_PAIRS = 100_000
 
 
 # --- shared option handling ------------------------------------------------
@@ -248,6 +258,13 @@ def cmd_indep(args) -> int:
         if s.eid not in seen:
             seen.add(s.eid)
             uniq.append(s.event)
+    n = len(uniq)
+    count = n * (n - 1) // 2
+    if count > MAX_INDEP_PAIRS:
+        raise PairLimitExceeded(
+            f"{n} initial events make {count} pairs, "
+            f"more than the {MAX_INDEP_PAIRS} that indep lists"
+        )
     events = [str(e) for e in uniq]
     pairs = []
     for i, e0 in enumerate(uniq):
@@ -354,6 +371,8 @@ def cmd_diamonds(args) -> int:
     violations = diamond_check(graph, bounds, theory, signature, consts)
     data = {
         "states": len(graph.states),
+        "tainted": graph.tainted,
+        "budget_exhausted": graph.budget_exhausted,
         "violations": [
             {"state": str(v.state), "first": str(v.first), "second": str(v.second), "reason": v.reason}
             for v in violations
@@ -362,7 +381,10 @@ def cmd_diamonds(args) -> int:
     if args.format == "json":
         print(json.dumps(data, indent=2))
     else:
-        print(f"{len(graph.states)} states checked, {len(violations)} diamond violations")
+        print(
+            f"{len(graph.states)} states checked, {len(violations)} diamond violations, "
+            f"tainted={graph.tainted}, budget_exhausted={graph.budget_exhausted}"
+        )
         for v in data["violations"]:
             print(f"  at {v['state']}: {v['first']} / {v['second']} ({v['reason']})")
     return 0 if not violations else 1
@@ -515,7 +537,13 @@ def main(argv: list[str] | None = None) -> int:
     except (CliError, ParseError, TheoryError, OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (RecipeLimitExceeded, RewriteBudgetExceeded, RecursionError, MemoryError) as exc:
+    except (
+        RecipeLimitExceeded,
+        RewriteBudgetExceeded,
+        PairLimitExceeded,
+        RecursionError,
+        MemoryError,
+    ) as exc:
         # exit 1 would read as "distinguished"
         print(f"error: resource limit hit: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2

@@ -15,9 +15,10 @@ alpha-canonical ``target`` is computed on first read.  Most successors are
 never read, because a search stops at its first answer or refutation.  The
 theory interns congruence classes (``state_class``) and keeps one
 representative per class; the game expands representatives,
-``reachable_lts`` merges states by class, and ``diamond_check`` compares
-endpoints by class.  Only canonical states are expanded: a raw residual's
-``_i`` binders could clash with names extruded from it.
+``reachable_lts`` merges states by class, and ``diamond_check`` reads a
+commuting successor from the cached transitions of the graph state in its
+class and compares endpoints by class.  Only canonical states are expanded:
+a raw residual's ``_i`` binders could clash with names extruded from it.
 """
 
 from __future__ import annotations
@@ -608,34 +609,53 @@ def diamond_check(
 ) -> list[DiamondViolation]:
     """Check that independent coinitial transitions commute to congruent
     endpoints across all states of an explored graph; endpoints are
-    compared by their class ids."""
+    compared by their class ids.
+
+    The successor of step ``s0`` on event ``e1`` is read from the graph
+    state in ``s0``'s class, whose transitions exploration already cached:
+    congruent states have the same events in the same order, and
+    transitions preserve congruence.  Only a class the state budget kept
+    out of the graph is fired from ``s0.target``."""
     from .independence import indep_event
+
+    def real_steps(A):
+        return enabled_transitions(A, bounds, theory, signature, consts).real_steps
+
+    index = {state_class(s, theory): i for i, s in enumerate(graph.states)}
+    succ: dict[int, dict[int, int]] = {}  # state index -> event id -> class id
+
+    def after(s0: Step, eid: int) -> int | None:
+        """Class id of ``s0.target``'s successor on event ``eid``, or ``None``."""
+        i = index.get(state_class(s0.residual, theory))
+        if i is None:
+            for s in real_steps(s0.target):
+                if s.eid == eid:
+                    return state_class(s.residual, theory)
+            return None
+        table = succ.get(i)
+        if table is None:
+            # reversed, so that the first step on an event wins
+            steps = reversed(real_steps(graph.states[i]))
+            table = succ[i] = {s.eid: state_class(s.residual, theory) for s in steps}
+        return table.get(eid)
 
     violations = []
     for state in graph.states:
-        steps = enabled_transitions(state, bounds, theory, signature, consts).real_steps
+        steps = real_steps(state)
         for i, s0 in enumerate(steps):
             e0 = s0.event
             for s1 in steps[i + 1 :]:
                 e1 = s1.event
-                if e0 == e1 or not indep_event(e0, e1):
+                if s0.eid == s1.eid or not indep_event(e0, e1):
                     continue
-                b01 = _fire(s0.target, e1, bounds, theory, signature, consts)
-                b10 = _fire(s1.target, e0, bounds, theory, signature, consts)
-                if b01 is None or b10 is None:
+                c01 = after(s0, s1.eid)
+                c10 = after(s1, s0.eid)
+                if c01 is None or c10 is None:
                     violations.append(
                         DiamondViolation(state, e0, e1, "missing commuting transition")
                     )
-                elif state_class(b01, theory) != state_class(b10, theory):
+                elif c01 != c10:
                     violations.append(
                         DiamondViolation(state, e0, e1, "endpoints not congruent")
                     )
     return violations
-
-
-def _fire(A, event, bounds, theory, signature, consts):
-    """The residual of ``A``'s real step on ``event``, or ``None``."""
-    for s in enabled_transitions(A, bounds, theory, signature, consts).real_steps:
-        if s.event == event:
-            return s.residual
-    return None

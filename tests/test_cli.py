@@ -130,6 +130,30 @@ def test_indep_reports_pairs(files, capsys):
     assert data["pairs"][0]["indep_loc"] and data["pairs"][0]["indep_event"]
 
 
+THREE = "new x,y,z.(out(a,x) | out(b,y) | out(c,z))"
+
+
+def test_indep_refuses_above_the_pair_limit(files, capsys, monkeypatch):
+    f = files("p.pi", THREE)
+    monkeypatch.setattr("latspi.cli.MAX_INDEP_PAIRS", 3)
+    code, out, _ = run(capsys, "indep", f, "--bounds", "depth=0")
+    assert code == 0 and out.count(" vs ") == 3
+
+    def unreachable(*args):
+        raise AssertionError("a pair was built")
+
+    # above the limit, no pair is built
+    monkeypatch.setattr("latspi.cli.MAX_INDEP_PAIRS", 2)
+    monkeypatch.setattr("latspi.cli.indep_event", unreachable)
+    monkeypatch.setattr("latspi.cli.indep_loc", unreachable)
+    code, out, err = run(capsys, "indep", f, "--bounds", "depth=0")
+    assert code == 2 and out == ""
+    assert err == (
+        "error: resource limit hit: 3 initial events make 3 pairs, "
+        "more than the 2 that indep lists\n"
+    )
+
+
 # --- static-equiv ----------------------------------------------------------
 
 
@@ -217,6 +241,22 @@ def test_diamonds_clean(files, capsys):
     f = files("p.pi", "new x,y.(out(a,x) | out(b,y))")
     code, out, _ = run(capsys, "diamonds", f, "--bounds", "depth=0")
     assert code == 0 and "0 diamond violations" in out
+    assert "tainted=False, budget_exhausted=False" in out
+
+
+def test_diamonds_reports_a_truncated_graph(files, capsys):
+    f = files("three.pi", THREE)
+    code, out, _ = run(capsys, "diamonds", f, "--bounds", "budget=2", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {
+        "states": 2,
+        "tainted": True,
+        "budget_exhausted": True,
+        "violations": [],
+    }
+    code, out, _ = run(capsys, "diamonds", f, "--bounds", "budget=2")
+    assert code == 0
+    assert out == "2 states checked, 0 diamond violations, tainted=True, budget_exhausted=True\n"
 
 
 def test_corpus_subset_deterministic(files, capsys):
