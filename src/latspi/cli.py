@@ -245,7 +245,10 @@ def cmd_lts(args) -> int:
             print(f"state {i}: {s}")
         for src, e, dst in data["edges"]:
             print(f"  {src} --{e}--> {dst}")
-        print(f"{len(graph.states)} states, {len(graph.edges)} edges, tainted={graph.tainted}")
+        print(
+            f"{len(graph.states)} states, {len(graph.edges)} edges, "
+            f"tainted={graph.tainted}, budget_exhausted={graph.budget_exhausted}"
+        )
     return 0
 
 
@@ -344,7 +347,7 @@ def cmd_check(args) -> int:
     rel = Rel(args.relation)
     left = load_process(args.left)
     right = load_process(args.right)
-    verdict = check(rel, left, right, bounds, theory, st_exhaustive=args.st_exhaustive)
+    verdict = check(rel, left, right, bounds, theory)
     replay_ok = None
     if verdict.witness is not None:
         replay_ok = witness_replay(verdict, left, right, theory)
@@ -505,7 +508,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("relation", choices=[r.value for r in Rel])
     sp.add_argument("left")
     sp.add_argument("right")
-    sp.add_argument("--st-exhaustive", action="store_true", help="enumerate all retained pair subsets")
     sp.add_argument("--witness", help="write the distinguishing strategy tree to a JSON file")
     _add_common(sp)
     sp.set_defaults(fn=cmd_check)

@@ -35,7 +35,6 @@ class CorpusCase:
     expected: str
     bounds: ExplorationBounds
     theory: str = "empty"  # "empty" or "dolev-yao"
-    st_exhaustive: bool = False
 
 
 def case_theory(case: CorpusCase) -> Theory:
@@ -59,6 +58,7 @@ def bounds_from_dict(d: dict) -> ExplorationBounds:
 
 
 _CASE_FIELDS = ("name", "left", "right", "relation", "expected")
+_OPTIONAL_FIELDS = ("bounds", "theory")
 
 
 def _one_of(field: str, value, allowed) -> None:
@@ -71,20 +71,21 @@ def case_from_dict(d: dict) -> CorpusCase:
     raises ``ValueError`` naming the case and the field or bound."""
     if not isinstance(d, dict):
         raise ValueError(f"corpus case is not a JSON object: {d!r}")
+    name = d.get("name", "<unnamed>")
     for field in _CASE_FIELDS:
         if field not in d:
-            raise ValueError(f"corpus case {d.get('name', '<unnamed>')!r}: missing field {field!r}")
+            raise ValueError(f"corpus case {name!r}: missing field {field!r}")
+    for field in d:
+        if field not in _CASE_FIELDS + _OPTIONAL_FIELDS:
+            raise ValueError(f"corpus case {name!r}: unknown field {field!r}")
     theory = d.get("theory", "empty")
-    st_exhaustive = d.get("st_exhaustive", False)
     try:
         _one_of("relation", d["relation"], [r.value for r in Rel])
         _one_of("expected", d["expected"], CLASSES)
         _one_of("theory", theory, THEORIES)
-        if type(st_exhaustive) is not bool:
-            raise ValueError(f"field 'st_exhaustive' must be true or false, not {st_exhaustive!r}")
         bounds = bounds_from_dict(d.get("bounds", {}))
     except ValueError as exc:
-        raise ValueError(f"corpus case {d['name']!r}: {exc}") from None
+        raise ValueError(f"corpus case {name!r}: {exc}") from None
     return CorpusCase(
         name=d["name"],
         left=d["left"],
@@ -93,7 +94,6 @@ def case_from_dict(d: dict) -> CorpusCase:
         expected=d["expected"],
         bounds=bounds,
         theory=theory,
-        st_exhaustive=st_exhaustive,
     )
 
 
@@ -133,14 +133,7 @@ def run_case(case: CorpusCase) -> tuple[CaseResult, Verdict | None]:
         left = parse_process(case.left)
         right = parse_process(case.right)
         theory = case_theory(case)
-        verdict = check(
-            case.relation,
-            left,
-            right,
-            case.bounds,
-            theory,
-            st_exhaustive=case.st_exhaustive,
-        )
+        verdict = check(case.relation, left, right, case.bounds, theory)
         actual = verdict_class(verdict)
         replay_ok = None
         if actual == DISTINGUISHED:

@@ -35,6 +35,28 @@ residuals of the moves that reach them; a configuration is decided, and
 replayed, on the representatives of its two classes, so a successor is
 canonicalised only when the search visits it, and transitions and static
 tests are computed once per class.
+
+Maximal retention is optimal.  Take two configurations with the same states
+and the same ``rho``, and pair sets ``P ⊆ P′``.  Every leader win from ``P``
+within ``k`` rounds is also a leader win from ``P′`` within ``k`` rounds.
+By induction on ``k``:
+
+- static tests do not read the pairs, so a static refutation carries over;
+- each pair adds its demand and its kept pair to ``Checker.rule`` on its
+  own, so under ``P′`` a move yields a superset of the demands and of the
+  kept pairs.  Every answer legal under ``P′`` is therefore legal under
+  ``P``: the label match, hence the successor states and ``rho``, do not
+  read the pairs, and the answer reaches a larger pair set.  The leader's
+  winning move from ``P`` wins from ``P′`` by induction on each answer;
+- the failure round only gets easier for the leader: a right move no left
+  answer meets under ``P`` has no answer under ``P′`` either.
+
+Consequence: under ST, choosing a subset of the kept pairs never helps the
+leader.  Keeping ``Q ⊆ kept`` with only its demands admits every answer
+that maximal retention admits, and reaches ``Q`` plus the answer's pair,
+within the maximal successor's pair set; by induction on ``k`` and the
+lemma, a leader who may choose subsets wins within ``k`` rounds exactly
+where maximal retention does, so the rule is the whole of ST.
 """
 
 from __future__ import annotations
@@ -111,15 +133,6 @@ class GameConfig:
     pairs: frozenset  # frozenset of (left event id, right event id)
 
 
-def _ordered(pairs, keys: list) -> list:
-    """Remembered pairs in the ``event_key`` order of their events, given
-    each id's key, so that ``st_exhaustive`` subsets and scans which stop at
-    the first failing pair do not depend on how ids were assigned."""
-    if len(pairs) < 2:
-        return list(pairs)
-    return sorted(pairs, key=lambda p: (keys[p[0]], keys[p[1]]))
-
-
 # --- witness trees ---------------------------------------------------------
 
 
@@ -169,14 +182,12 @@ class Checker:
         bounds: ExplorationBounds,
         signature: tuple[Symbol, ...],
         consts: frozenset[str],
-        st_exhaustive: bool = False,
     ):
         self.rel = rel
         self.theory = theory
         self.bounds = bounds
         self.signature = signature
         self.consts = consts
-        self.st_exhaustive = st_exhaustive and rel.family == "st"
         if rel in (Rel.SIM_ILOC, Rel.BISIM_ILOC):
             self.indep_table = theory.indep_locs
             self.indep_test = lambda e0, e1: indep_loc(e0.loc, e1.loc)
@@ -249,26 +260,13 @@ class Checker:
             return (), None
         j = 0 if side == "left" else 1
         demands, kept = [], []
-        for p in _ordered(cfg.pairs, self.theory.event_keys):
+        for p in cfg.pairs:
             bit = self.indep(p[j], eid)
             if bit or family != "st":
                 demands.append((p[1 - j], bit))
             if bit or family == "ind":
                 kept.append(p)
         return demands, kept
-
-    def leader_contexts(self, cfg: GameConfig, side: str, eid: int):
-        """The contexts ``(demands, kept)`` the leader may choose alongside
-        the move of event ``eid``: the rule's, or under ``st_exhaustive``
-        the rule restricted to each subset of its kept pairs, the empty
-        subset first."""
-        demands, kept = self.rule(cfg, side, eid)
-        if not self.st_exhaustive:
-            yield demands, kept
-            return
-        for mask in range(1 << len(kept)):
-            chosen = [i for i in range(len(kept)) if mask >> i & 1]
-            yield [demands[i] for i in chosen], [kept[i] for i in chosen]
 
     def legal_replies(self, cfg: GameConfig, side: str, step: Step, ctx, answers: list):
         """The follower's answers to a leader step in the context
@@ -359,19 +357,15 @@ class Checker:
         for side in sides:
             follower = "right" if side == "left" else "left"
             for step in fetch(side).real_steps:
-                answers = fetch(follower).steps
-                for ctx in self.leader_contexts(cfg, side, step.eid):
-                    replies = self.legal_replies(cfg, side, step, ctx, answers)
-                    refutations = []
-                    answered = False
-                    for event2, cfg2 in replies:
-                        child = self.run(cfg2, depth + 1)
-                        if child is None:
-                            answered = True
-                            break
-                        refutations.append(ReplyNode(event2, child))
-                    if not answered:
-                        return LeadNode(side, step.event, refutations)
+                ctx = self.rule(cfg, side, step.eid)
+                refutations = []
+                for event2, cfg2 in self.legal_replies(cfg, side, step, ctx, fetch(follower).steps):
+                    child = self.run(cfg2, depth + 1)
+                    if child is None:
+                        break
+                    refutations.append(ReplyNode(event2, child))
+                else:
+                    return LeadNode(side, step.event, refutations)
         return None
 
 
@@ -399,14 +393,13 @@ def check(
     theory: Theory,
     signature: tuple[Symbol, ...] | None = None,
     consts: frozenset[str] | None = None,
-    st_exhaustive: bool = False,
 ) -> Verdict:
     """Decide whether ``p`` relates to ``q`` within the given bounds."""
     if signature is None:
         signature = build_signature(theory, p, q)
     if consts is None:
         consts = default_consts(p, q) | frozenset(bounds.extra_consts)
-    checker = Checker(rel, theory, bounds, signature, consts, st_exhaustive)
+    checker = Checker(rel, theory, bounds, signature, consts)
     witness = checker.run(initial_config(p, q, bounds))
     # only Related verdicts are bound-qualified; a Distinguished verdict is
     # backed by its replayable witness
@@ -474,16 +467,16 @@ def _replay_node(checker: Checker, cfg: GameConfig, node) -> bool:
         for step in checker.transitions(leader).real_steps:
             if step.event != node.event:
                 continue
+            ctx = checker.rule(cfg, node.side, step.eid)
             answers = checker.transitions(follower).steps
-            for ctx in checker.leader_contexts(cfg, node.side, step.eid):
-                replies = list(checker.legal_replies(cfg, node.side, step, ctx, answers))
-                recorded = {event_key(r.event): r for r in node.replies}
-                if {event_key(e) for e, _ in replies} != set(recorded):
-                    continue
-                if all(
-                    _replay_node(checker, cfg2, recorded[event_key(e)].child)
-                    for e, cfg2 in replies
-                ):
-                    return True
+            replies = list(checker.legal_replies(cfg, node.side, step, ctx, answers))
+            recorded = {event_key(r.event): r for r in node.replies}
+            if {event_key(e) for e, _ in replies} != set(recorded):
+                continue
+            if all(
+                _replay_node(checker, cfg2, recorded[event_key(e)].child)
+                for e, cfg2 in replies
+            ):
+                return True
         return False
     return False

@@ -37,6 +37,7 @@ from latspi.lts import (
 from latspi.knowledge import satisfies
 from latspi.syntax import from_process, parse_process, prime_bangs, struct_congruent
 from latspi.terms import Alias, Substitution, Theory, Var, app
+from st_oracle import check_exhaustive
 
 CASES = {c.name: c for c in load_corpus()}
 
@@ -277,6 +278,7 @@ def spectrum_classes(rows) -> str:
 
 def test_criterion_15_hierarchy_and_st_oracle():
     rows = list(corpus_spectrum())
+    replayed = 0
     for c, left, right, bounds, theory, replicated, verdicts in rows:
         related = {rel: v.related for rel, v in verdicts.items()}
         for finer, coarser in zip(SIM_CHAIN, SIM_CHAIN[1:]):
@@ -285,12 +287,16 @@ def test_criterion_15_hierarchy_and_st_oracle():
             assert not related[finer] or related[coarser], (c.name, finer, coarser)
         if not replicated:
             for rel in (Rel.SIM_ST, Rel.BISIM_ST, Rel.FSIM_ST):
-                slow = check(rel, left, right, bounds, theory, st_exhaustive=True).related
-                assert related[rel] == slow, (c.name, rel)
-    assert len(rows) == 19
+                slow = check_exhaustive(rel, left, right, bounds, theory)
+                assert related[rel] == slow.related, (c.name, rel)
+                # the oracle's witnesses replay under maximal retention
+                if not slow.related:
+                    assert witness_replay(slow, left, right, theory), (c.name, rel)
+                    replayed += 1
+    assert len(rows) == 19 and replayed == 19
     assert spectrum_classes(rows) == GOLDEN_SPECTRUM.read_bytes().decode()
     passed(15, "hierarchy respected corpus-wide on all 13 relations; maximal retention "
-               "matches the exhaustive oracle")
+               "matches the exhaustive oracle, whose witnesses replay")
 
 
 if __name__ == "__main__":

@@ -98,6 +98,11 @@ def test_lts_json(files, capsys):
     data = json.loads(out)
     assert len(data["states"]) == 4 and len(data["edges"]) == 4
     assert not data["tainted"]
+    # the text summary reports both flags, here set by the state budget
+    f = files("three.pi", "out(a,m) | out(b,m) | out(c,m)")
+    code, out, _ = run(capsys, "lts", f, "--bounds", "budget=2")
+    assert code == 0
+    assert out.splitlines()[-1] == "2 states, 1 edges, tainted=True, budget_exhausted=True"
 
 
 def test_lts_prints_each_state_as_first_reached(files, capsys):
@@ -225,13 +230,6 @@ def test_check_theory_file(files, capsys):
     l = files("l.pi", "new m.out(a, wrap(m))")
     code, out, _ = run(capsys, "check", "sim-i", l, l, "--theory", t, "--bounds", "depth=1")
     assert code == 0
-
-
-def test_check_st_exhaustive_flag(files, capsys):
-    l = files("l.pi", "new x.out(a,x) | new x.out(a,x)")
-    r = files("r.pi", "new x.out(a,x).new x.out(a,x)")
-    code, _, _ = run(capsys, "check", "sim-st", l, r, "--bounds", "depth=1", "--st-exhaustive")
-    assert code == 1
 
 
 # --- diamonds / corpus -----------------------------------------------------
@@ -411,7 +409,8 @@ def _bounded_case(bounds, **fields):
         (_bounded_case({"game_dept": 0}), "'neg': unknown bound 'game_dept'"),
         (_bounded_case({}, theory="dolev_yao"), "'neg': field 'theory' must be one of"),
         (_bounded_case({}, expected="RELATED"), "'neg': field 'expected' must be one of"),
-        (_bounded_case({}, st_exhaustive="yes"), "'neg': field 'st_exhaustive' must be true or false"),
+        (_bounded_case({}, st_exhaustive=True), "'neg': unknown field 'st_exhaustive'"),
+        (_bounded_case({}, theroy="empty"), "'neg': unknown field 'theroy'"),
         (_bounded_case({}, relation="sim-x"), "'neg': field 'relation' must be one of"),
     ],
     ids=[
@@ -423,7 +422,8 @@ def _bounded_case(bounds, **fields):
         "misspelt-bound",
         "unknown-theory",
         "unknown-class",
-        "string-st-exhaustive",
+        "removed-field",
+        "misspelt-field",
         "unknown-relation",
     ],
 )

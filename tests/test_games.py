@@ -28,6 +28,7 @@ from latspi.knowledge import _scan, recipe_enum, static_equiv_witness
 from latspi.lts import ExplorationBounds, default_consts
 from latspi.syntax import ExtendedProcess, alpha_canonical, congruence_key, parse_process
 from latspi.terms import Alias, AliasMap, Substitution, Theory, Var, app, dolev_yao, msg_key
+from st_oracle import ExhaustiveST, check_exhaustive
 
 B = ExplorationBounds(recipe_depth=1, static_depth=1, repl_unfold=2, game_depth=12)
 
@@ -156,26 +157,26 @@ def test_st_exhaustive_oracle_agrees(rel):
     ]
     for left, right in pairs:
         fast = V(rel, left, right)
-        slow = V(rel, left, right, st_exhaustive=True)
+        slow = check_exhaustive(rel, parse_process(left), parse_process(right), B, Theory(()))
         assert fast.related == slow.related, (rel, left, right)
 
 
 def test_failure_round_keeps_maximal_retention_under_st_exhaustive():
     # after out(a, x) on both sides, the right's out(a, y) is independent of
     # the remembered pair and the left's is not; the left mirrors it only
-    # under the empty retained subset, which st_exhaustive tries first
+    # under the empty retained subset, which the exhaustive oracle tries first
     theory = Theory(())
     p = parse_process("new x,y.out(a,x).out(a,y)")
     q = parse_process("new x,y.(out(a,x) | out(a,y))")
     signature, consts = build_signature(theory, p, q), default_consts(p, q)
-    checker = Checker(Rel.FSIM_ST, theory, B, signature, consts, st_exhaustive=True)
+    checker = ExhaustiveST(Rel.FSIM_ST, theory, B, signature, consts)
     cfg = initial_config(p, q, B)
     (step,) = checker.transitions(cfg.left).real_steps
-    (ctx,) = checker.leader_contexts(cfg, "left", step.eid)
+    (ctx,) = checker.contexts(cfg, "left", step.eid)
     _, cfg2 = next(checker.legal_replies(cfg, "left", step, ctx, checker.transitions(cfg.right).steps))
     left, right = checker.transitions(cfg2.left), checker.transitions(cfg2.right)
     (step_r,) = right.real_steps
-    empty = next(checker.leader_contexts(cfg2, "right", step_r.eid))
+    empty = next(checker.contexts(cfg2, "right", step_r.eid))
     assert empty == ([], []) and list(checker.legal_replies(cfg2, "right", step_r, empty, left.steps))
     node = checker.failure_witness(cfg2, left, right)
     assert isinstance(node, FailureNode) and node.event == step_r.event
@@ -450,10 +451,11 @@ for key in theory.event_keys:
 
 
 def test_indep_calls_do_not_depend_on_the_hash_seed():
-    # scans over the remembered pairs stop at the first failing pair, so
-    # they must visit the pairs in an order that string hashing cannot move;
-    # memo keys and the order of independence tests follow the event ids,
-    # so the events must be interned in that order too
+    # scans over the remembered pairs stop at the first failing pair; they
+    # visit the pairs in int-id order, the iteration order of a set of
+    # pairs of ints, which string hashing cannot move.  That order, the memo
+    # keys and the order of independence tests all follow the event ids, so
+    # the events must be interned in an order string hashing cannot move
     src = os.path.join(os.path.dirname(games.__file__), os.pardir)
     outputs = set()
     for seed in ("1", "2"):
