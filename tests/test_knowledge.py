@@ -1,5 +1,7 @@
 """Attacker knowledge: recipe enumeration, satisfaction, static equivalence."""
 
+from itertools import product
+
 from hypothesis import example, given, settings, strategies as st
 
 from latspi.knowledge import (
@@ -54,6 +56,70 @@ def test_recipe_enum_deterministic():
     rs1 = recipe_enum(frozenset({L0, L1}), frozenset({"a"}), (H,), 1, Theory(()))
     rs2 = recipe_enum(frozenset({L0, L1}), frozenset({"a"}), (H,), 1, Theory(()))
     assert rs1 == rs2
+
+
+def _direct_recipe_enum(aliases, consts, signature, depth, theory):
+    """Recipes enumerated over the domain's own aliases, with no sharing
+    between domains: the reference ``recipe_enum`` must reproduce exactly."""
+    atoms = sorted(aliases, key=lambda a: (a.prefix, a.stem))
+    atoms += [Var(c) for c in sorted(consts)]
+    seen, out = set(), []
+
+    def add(r):
+        nf = theory.normalize(r)
+        if nf not in seen:
+            seen.add(nf)
+            out.append(r)
+
+    for a in atoms:
+        add(a)
+    for _ in range(depth):
+        start, pool = len(out), list(out)
+        for sym in sorted(set(signature), key=lambda s: (s.name, s.arity)):
+            for args in product(pool, repeat=sym.arity):
+                add(App(sym, args))
+        if len(out) == start:
+            break
+    return out
+
+
+_ALIAS_POOL = [Alias(p, s) for p in ("", "0", "1", "01", "10") for s in ("l", "l'")]
+_THEORIES = {"empty": Theory(()), "dolev-yao": dolev_yao()}
+
+
+@st.composite
+def _recipe_problems(draw):
+    theory = draw(st.sampled_from(sorted(_THEORIES)))
+    depth = draw(st.integers(0, 2))
+    # depth 2 over three atoms and a binary symbol is already ~1 000 recipes
+    atoms = 3 if depth == 2 else 4
+    size = draw(st.integers(0, atoms - 1))
+    consts = draw(
+        st.frozensets(st.sampled_from(["a", "b", "w0", "%0", "#0"]), max_size=atoms - size)
+    )
+    pool = (H, PAIR) if theory == "empty" else DY_SIGNATURE
+    signature = tuple(draw(st.lists(st.sampled_from(pool), max_size=3 if depth < 2 else 2)))
+    # two domains of one size, so that one shares the other's enumeration
+    draw_domain = st.lists(st.sampled_from(_ALIAS_POOL), min_size=size, max_size=size, unique=True)
+    domains = [frozenset(draw(draw_domain)) for _ in range(2)]
+    return theory, domains, consts, signature, depth
+
+
+@settings(max_examples=80, deadline=None)
+@given(_recipe_problems())
+def test_recipe_enum_matches_direct_enumeration(problem):
+    name, domains, consts, signature, depth = problem
+    theory = _THEORIES[name]
+    for aliases in domains:
+        rs = recipe_enum(aliases, consts, signature, depth, theory)
+        fresh = dolev_yao() if name == "dolev-yao" else Theory(())
+        assert rs == _direct_recipe_enum(aliases, consts, signature, depth, fresh)
+        # each application's arguments are earlier entries of the list itself
+        seen: set = set()
+        for r in rs:
+            if isinstance(r, App):
+                assert all(id(a) in seen for a in r.args)
+            seen.add(id(r))
 
 
 # --- satisfaction ----------------------------------------------------------
