@@ -16,6 +16,8 @@ from .terms import (
     ID,
     ID_ALIAS,
     Message,
+    ResourceLimitExceeded,
+    RewriteBudgetExceeded,
     RewriteRule,
     Substitution,
     Symbol,
@@ -53,6 +55,7 @@ from .lts import (
 )
 from .independence import indep_event, indep_loc
 from .knowledge import (
+    RecipeLimitExceeded,
     recipe_enum,
     satisfies,
     static_equiv_witness,

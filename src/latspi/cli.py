@@ -28,7 +28,6 @@ from .games import (
     witness_replay,
 )
 from .knowledge import (
-    RecipeLimitExceeded,
     satisfies,
     static_equiv_witness,
     static_impl_witness,
@@ -47,7 +46,7 @@ from .terms import (
     ID_ALIAS,
     Alias,
     App,
-    RewriteBudgetExceeded,
+    ResourceLimitExceeded,
     Substitution,
     Theory,
     TheoryError,
@@ -65,7 +64,7 @@ class CliError(Exception):
     pass
 
 
-class PairLimitExceeded(Exception):
+class PairLimitExceeded(ResourceLimitExceeded):
     """``indep`` would list more pairs of events than ``MAX_INDEP_PAIRS``."""
 
 
@@ -539,13 +538,7 @@ def main(argv: list[str] | None = None) -> int:
     except (CliError, ParseError, TheoryError, OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (
-        RecipeLimitExceeded,
-        RewriteBudgetExceeded,
-        PairLimitExceeded,
-        RecursionError,
-        MemoryError,
-    ) as exc:
+    except (ResourceLimitExceeded, RecursionError, MemoryError) as exc:
         # exit 1 would read as "distinguished"
         print(f"error: resource limit hit: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2

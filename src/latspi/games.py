@@ -65,7 +65,14 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .independence import indep_event, indep_loc
-from .knowledge import StaticWitness, static_equiv_witness, static_impl_witness
+from .knowledge import (
+    StaticWitness,
+    frame_class,
+    image_class,
+    placeholders,
+    static_equiv_witness,
+    static_impl_witness,
+)
 from .lts import (
     Event,
     ExplorationBounds,
@@ -87,7 +94,7 @@ from .syntax import (
     prime_bangs,
     symbols_of,
 )
-from .terms import AliasMap, ID_ALIAS, Symbol, Theory
+from .terms import AliasMap, ID_ALIAS, Symbol, Theory, msg_key
 
 
 class Rel(Enum):
@@ -193,6 +200,10 @@ class Checker:
             self.indep_test = lambda e0, e1: indep_loc(e0.loc, e1.loc)
         else:
             self.indep_table, self.indep_test = theory.indep, indep_event
+        # this check's share of the theory's static tests
+        test = "impl" if rel is Rel.PRESIM_I else "equiv"
+        scope = (test, consts, signature, bounds.static_depth)
+        self.static_tests = theory.static.setdefault(scope, {})
         self.memo: dict = {}
         self.stack: set = set()
         self.tainted = False
@@ -218,18 +229,49 @@ class Checker:
             hit = table[i, j] = self.indep_test(events[i], events[j])
         return hit
 
+    def frame_class(self, state: ExtendedProcess) -> int:
+        """Id of the class of the state's frame, kept in the theory's
+        ``frames`` table under the state too: the game passes class
+        representatives, found there by identity, where a lookup by frame
+        compares equal frames of distinct states term by term."""
+        table, key = self.theory.frames, (state, self.consts)
+        i = table.get(key)
+        if i is None:
+            i = table[key] = frame_class(state.frame, self.consts, self.theory)
+        return i
+
     def static_witness(self, cfg: GameConfig) -> StaticWitness | None:
         """The static test of the configuration's frames, memoised on the
-        theory so that every check sharing it runs each test once."""
-        fn = static_impl_witness if self.rel is Rel.PRESIM_I else static_equiv_witness
-        left, right, depth = cfg.left.frame, cfg.right.frame, self.bounds.static_depth
-        key = (fn, left, right, cfg.rho.key(), self.consts, self.signature, depth)
-        table = self.theory.static
+        theory by the class of the left frame and the class of the right
+        frame's images in ``rho`` order, so that every check sharing it runs
+        each test once up to renaming aliases and names outside ``consts``.
+        The table keeps the witness over the recipe template; it is renamed
+        into the left frame's domain, where the test itself finds it.
+
+        The game extends ``rho`` and both frames together, one output at a
+        time, so ``rho`` maps the left frame's domain onto the right
+        frame's."""
+        theory, consts = self.theory, self.consts
+        left, right, rho = cfg.left.frame, cfg.right.frame, cfg.rho
+        assert len(rho.mapping) == len(left.mapping) == len(right.mapping)
+        right_class = image_class(self.frame_class(cfg.right), rho, consts, theory)
+        key = (self.frame_class(cfg.left), right_class)
+        tests = self.static_tests
         try:
-            return table[key]
+            w = tests[key]
         except KeyError:
-            w = table[key] = fn(left, right, cfg.rho, self.consts, self.signature, depth, self.theory)
+            fn = static_impl_witness if self.rel is Rel.PRESIM_I else static_equiv_witness
+            w = fn(left, right, rho, consts, self.signature, self.bounds.static_depth, theory)
+            if w is not None:
+                domain = sorted(left.mapping, key=msg_key)
+                tests[key] = w.renamed(domain, placeholders(len(domain)))
+            else:
+                tests[key] = None
             return w
+        if w is not None:
+            domain = sorted(left.mapping, key=msg_key)
+            w = w.renamed(placeholders(len(domain)), domain)
+        return w
 
     def match_label(self, left_action, right_action, rho: AliasMap) -> AliasMap | None:
         """Extension of ``rho`` under which the left label maps onto the

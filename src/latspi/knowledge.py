@@ -7,22 +7,42 @@ Static equivalence of two frames (up to an alias bijection) is decided over
 the finite recipe universe of a given depth by partitioning recipes by
 their normal form on each side and comparing the partitions.
 
-In a frame's partition of a recipe list, two recipes share a block when
-their substituted normal forms are equal.  A ``terms.NormalForms`` table
-interns each distinct normal form of one theory as a small integer and
-memoizes, for every symbol applied to interned arguments, the id of the
-result's normal form, so a recipe's id under a frame follows from its
-arguments' ids without rebuilding or hashing the substituted term.  The
-table turns a frame's ids over the list into a pattern, giving for each
-recipe the position of the first recipe in its block, and interns the
-pattern as an id, once per (recipe list, frame).  Two frames are
-statically equivalent exactly when their partition ids are equal.  When
-they differ, the two patterns are walked in enumeration order, and the
-first recipe whose first block-mate on one side lies in another block on
-the other side gives the witness: the pair that comparing normal forms
-recipe by recipe finds first.  The table is the theory's, like its recipe
-lists and transitions: calls sharing one ``Theory`` share them, a check
-and its replay included, and they live as long as the theory does.
+Aliases are opaque and rewrite rules never mention them, so the recipe
+lists of two domains of one size are one list with the aliases renamed by
+their sorted position.  ``recipe_template`` enumerates that list once per
+(domain size, consts, signature, depth), over placeholder aliases in
+position order, and ``recipe_enum`` renames it into a domain.  A static
+test reads the frames only through their images: the left frame's in
+sorted-alias order, the right frame's in the order ``rho`` takes the left
+aliases to.  It partitions the template by each image tuple, the i-th
+placeholder standing for the i-th image.
+
+In a partition of a template, two recipes share a block when their
+substituted normal forms are equal.  A ``terms.NormalForms`` table interns
+each distinct normal form of one theory as a small integer and memoizes,
+for every symbol applied to interned arguments, the id of the result's
+normal form, so a recipe's id under the images follows from its arguments'
+ids without rebuilding or hashing the substituted term.  The table turns
+the ids over the template into a pattern, giving for each recipe the
+position of the first recipe in its block, and interns the pattern as an
+id, once per (template, images).  Two frames are statically equivalent
+exactly when their partition ids are equal.  When they differ, the two
+patterns are walked in enumeration order, and the first recipe whose first
+block-mate on one side lies in another block on the other side gives the
+witness: the pair that comparing normal forms recipe by recipe finds
+first, renamed from the template into the left frame's domain.
+
+A partition does not change when the names outside ``consts`` are renamed
+injectively in the images: recipes mention no such name and rewriting
+commutes with the renaming.  Each side's partition depends on that side's
+images alone, so a static test depends only on the class of each side's
+image tuple up to such a renaming.  ``frame_class`` interns the class of a
+frame's images in sorted-alias order, and ``image_class`` the class of the
+same images in the order of an alias map, in the theory's ``frames``
+table; ``games.Checker`` keys its static tests on the two classes.  The
+tables are the theory's, like its recipe lists and transitions: calls
+sharing one ``Theory`` share them, a check and its replay included, and
+they live as long as the theory does.
 
 For a terminating theory the verdict and the witness are those of
 normalising each substituted recipe whole.  The table normalises a recipe
@@ -45,7 +65,7 @@ from .terms import (
     AliasMap,
     App,
     Message,
-    Substitution,
+    ResourceLimitExceeded,
     Symbol,
     Theory,
     Var,
@@ -53,26 +73,39 @@ from .terms import (
     msg_key,
 )
 
-# most recipes ``recipe_enum`` lists before raising ``RecipeLimitExceeded``
+# most recipes ``recipe_template`` lists before raising ``RecipeLimitExceeded``
 RECIPE_LIMIT = 200_000
 
 
-def recipe_enum(
-    aliases: frozenset[Alias],
+class RecipeLimitExceeded(ResourceLimitExceeded):
+    pass
+
+
+def placeholders(size: int) -> tuple[Alias, ...]:
+    """The aliases a template of ``size`` aliases is enumerated over, in
+    position order.  Their stems are not identifiers, so no process or
+    frame file names them."""
+    return tuple(Alias("", f"#{i}") for i in range(size))
+
+
+def recipe_template(
+    size: int,
     consts: frozenset[str],
     signature: tuple[Symbol, ...],
     depth: int,
     theory: Theory,
 ) -> list[Message]:
-    """All recipes up to the given application depth, deduplicated modulo
-    the theory (aliases treated as opaque constants).  The first recipe in
-    enumeration order is kept as the representative of its class."""
+    """All recipes over ``placeholders(size)`` and ``consts`` up to the
+    given application depth, deduplicated modulo the theory (aliases treated
+    as opaque constants).  The first recipe in enumeration order is kept as
+    the representative of its class, so the list starts with the
+    placeholders, and every application's arguments are earlier entries."""
     cache = theory.recipes
-    cache_key = (frozenset(aliases), frozenset(consts), tuple(signature), depth)
+    cache_key = (size, frozenset(consts), tuple(signature), depth)
     hit = cache.get(cache_key)
     if hit is not None:
         return hit
-    atoms: list[Message] = sorted(aliases, key=msg_key)
+    atoms: list[Message] = list(placeholders(size))
     atoms += [Var(c) for c in sorted(consts)]
     seen: set = set()
     out: list[Message] = []
@@ -102,8 +135,35 @@ def recipe_enum(
     return out
 
 
-class RecipeLimitExceeded(Exception):
-    pass
+def recipe_enum(
+    aliases: frozenset[Alias],
+    consts: frozenset[str],
+    signature: tuple[Symbol, ...],
+    depth: int,
+    theory: Theory,
+) -> list[Message]:
+    """All recipes up to the given application depth, deduplicated modulo
+    the theory (aliases treated as opaque constants).  The first recipe in
+    enumeration order is kept as the representative of its class.  The list
+    is the template of the domain's size with the i-th placeholder replaced
+    by the i-th alias in sorted order; each application is rebuilt from its
+    arguments' renamed entries, so they stay entries of the list."""
+    cache = theory.recipes
+    cache_key = (frozenset(aliases), frozenset(consts), tuple(signature), depth)
+    hit = cache.get(cache_key)
+    if hit is not None:
+        return hit
+    domain = sorted(aliases, key=msg_key)
+    template = recipe_template(len(domain), consts, signature, depth, theory)
+    renamed = {id(p): a for p, a in zip(template, domain)}
+    out: list[Message] = list(domain)
+    for r in template[len(domain) :]:
+        if isinstance(r, App):
+            renamed[id(r)] = App(r.fn, tuple([renamed.get(id(a), a) for a in r.args]))
+            r = renamed[id(r)]
+        out.append(r)
+    cache[cache_key] = out
+    return out
 
 
 def satisfies(frame, m: Message, n: Message, theory: Theory) -> bool:
@@ -118,28 +178,86 @@ class StaticWitness:
     holds_left: bool
     holds_right: bool
 
+    def renamed(self, aliases, into) -> StaticWitness:
+        """The witness with each ``aliases[i]`` renamed to ``into[i]``."""
+        rename = AliasMap(dict(zip(aliases, into)))
+        return StaticWitness(rename(self.m), rename(self.n), self.holds_left, self.holds_right)
 
-def _renamed_frame(frame, rho: AliasMap) -> Substitution:
-    """The frame seen through ``rho``: ``r`` under the result is ``rho(r)``
-    under ``frame``."""
-    image = {}
-    for a in frame.domain | rho.domain:
-        b = rho.mapping.get(a, a)
-        image[a] = frame.mapping.get(b, b)
-    return Substitution(image)
+
+# --- frame classes ---------------------------------------------------------
+
+
+def _class_key(images, consts: frozenset[str]) -> tuple:
+    """The images with every name outside ``consts`` numbered by first
+    occurrence.  An application is encoded as ``(symbol, *arguments)`` and
+    a numbered name as its number, so a key re-encodes to itself."""
+    numbers: dict = {}
+
+    def encode(m):
+        kind = type(m)
+        if kind is App:
+            return (m.fn, *[encode(a) for a in m.args])
+        if kind is tuple:
+            return (m[0], *[encode(a) for a in m[1:]])
+        if kind is int or (kind is Var and m.name not in consts):
+            return numbers.setdefault(m, len(numbers))
+        return m
+
+    return tuple([encode(m) for m in images])
+
+
+def _intern_class(key: tuple, theory: Theory) -> int:
+    table = theory.frames
+    i = table.get(("class", key))
+    if i is None:
+        i = table["class", key] = len(theory.frame_keys)
+        theory.frame_keys.append(key)
+    return i
+
+
+def frame_class(frame, consts: frozenset[str], theory: Theory) -> int:
+    """Id of the class of the frame's images in sorted-alias order, up to
+    renaming the names outside ``consts``.  The theory's ``frames`` table
+    maps each (frame, consts), and each ("class", class key), to the id, so
+    every distinct frame is encoded once per theory;
+    ``theory.frame_keys[id]`` is the key."""
+    table = theory.frames
+    i = table.get((frame, consts))
+    if i is None:
+        images = [frame.mapping[a] for a in sorted(frame.mapping, key=msg_key)]
+        i = table[frame, consts] = _intern_class(_class_key(images, consts), theory)
+    return i
+
+
+def image_class(cls: int, rho: AliasMap, consts: frozenset[str], theory: Theory) -> int:
+    """Id of the class of the images of class ``cls``, a frame's, taken in
+    ``rho`` order: for each source of ``rho`` in sorted order, the image of
+    its target, ``rho`` mapping onto the frame's domain.  The ``frames``
+    table maps (``cls``, ``rho.key()``) to the id."""
+    table = theory.frames
+    key = (cls, rho.key())
+    i = table.get(key)
+    if i is None:
+        targets = [b for _, b in key[1]]
+        order = sorted(targets)
+        images = theory.frame_keys[cls]
+        permuted = [images[order.index(b)] for b in targets]
+        i = table[key] = _intern_class(_class_key(permuted, consts), theory)
+    return i
+
+
+# --- static tests ----------------------------------------------------------
 
 
 def _scan(
-    frame_a,
-    frame_b,
-    rho: AliasMap,
-    recipes,
-    theory: Theory,
-    both_directions: bool,
-) -> StaticWitness | None:
+    images_a: tuple, images_b: tuple, template: list, theory: Theory, both_directions: bool
+):
+    """``(j, k, holds_left, holds_right)`` for the first template recipes
+    ``j < k`` whose equality holds under one image tuple and not under the
+    other, or ``None`` when the two partition the template alike."""
     table = theory.normal_forms
-    part_a = table.partition(recipes, frame_a, theory.normalize)
-    part_b = table.partition(recipes, _renamed_frame(frame_b, rho), theory.normalize)
+    part_a = table.partition(template, images_a, theory.normalize)
+    part_b = table.partition(template, images_b, theory.normalize)
     if part_a == part_b:
         return None
     pat_a, pat_b = table.patterns[part_a], table.patterns[part_b]
@@ -147,10 +265,24 @@ def _scan(
         # ``ja`` is the first recipe equal to ``k`` on the left: the pair
         # holds on the left only when the right splits it; so for ``jb``
         if ja < k and pat_b[ja] != jb:
-            return StaticWitness(recipes[ja], recipes[k], True, False)
+            return ja, k, True, False
         if both_directions and jb < k and pat_a[jb] != ja:
-            return StaticWitness(recipes[jb], recipes[k], False, True)
+            return jb, k, False, True
     return None
+
+
+def _static_test(frame_a, frame_b, rho, consts, signature, depth, theory, both_directions):
+    domain = sorted(frame_a.mapping, key=msg_key)
+    template = recipe_template(len(domain), consts, signature, depth, theory)
+    images_a = tuple([frame_a.mapping[a] for a in domain])
+    right = [rho.mapping.get(a, a) for a in domain]
+    images_b = tuple([frame_b.mapping.get(b, b) for b in right])
+    found = _scan(images_a, images_b, template, theory, both_directions)
+    if found is None:
+        return None
+    j, k, holds_left, holds_right = found
+    w = StaticWitness(template[j], template[k], holds_left, holds_right)
+    return w.renamed(placeholders(len(domain)), domain)
 
 
 def static_equiv_witness(
@@ -165,8 +297,7 @@ def static_equiv_witness(
     """A recipe pair separating the frames up to ``rho``, or ``None`` when
     they are statically equivalent at this depth.  The witness is minimal in
     the deterministic enumeration order."""
-    recipes = recipe_enum(frame_a.domain, consts, signature, depth, theory)
-    return _scan(frame_a, frame_b, rho, recipes, theory, True)
+    return _static_test(frame_a, frame_b, rho, consts, signature, depth, theory, True)
 
 
 def static_impl_witness(
@@ -180,5 +311,4 @@ def static_impl_witness(
 ) -> StaticWitness | None:
     """One-directional variant: a pair satisfied by the left frame but not
     by the right, or ``None``."""
-    recipes = recipe_enum(frame_a.domain, consts, signature, depth, theory)
-    return _scan(frame_a, frame_b, rho, recipes, theory, False)
+    return _static_test(frame_a, frame_b, rho, consts, signature, depth, theory, False)

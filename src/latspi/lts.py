@@ -442,8 +442,9 @@ class TransitionSet:
     steps: list  # list[Step]
     tainted: bool
 
-    @property
-    def real_steps(self):
+    @cached_property
+    def real_steps(self) -> list:
+        """The steps that are not phantom firings, listed on first read and kept."""
         return [s for s in self.steps if not s.phantom]
 
 

@@ -14,7 +14,12 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 
-class RewriteBudgetExceeded(Exception):
+class ResourceLimitExceeded(Exception):
+    """A computation stopped at one of the package's fixed resource limits:
+    a recipe count, a rewrite step budget, a count of listed pairs."""
+
+
+class RewriteBudgetExceeded(ResourceLimitExceeded):
     """Raised when a single normalization exceeds its step budget."""
 
 
@@ -174,10 +179,20 @@ class Theory:
         self.structural: dict = {}
         # (state, bounds, signature, consts) -> ``lts.enabled_transitions``
         self.enabled: dict = {}
-        # (aliases, consts, signature, depth) -> ``knowledge.recipe_enum``
+        # (domain size, consts, signature, depth) -> the recipe template
+        # (``knowledge.recipe_template``), and (aliases, consts, signature,
+        # depth) -> the template renamed into the domain (``recipe_enum``)
         self.recipes: dict = {}
-        # (test kind, frames, alias map, consts, signature, depth) -> the
-        # static test's ``StaticWitness`` or ``None`` (``games.Checker``)
+        # (frame, consts) -> id of the frame's class, and so does (game
+        # state, consts) for the state's frame (``games.Checker``); (class
+        # id, alias map's key) -> id of the class of its images in the alias
+        # map's order; ("class", class key) -> id; id -> class key
+        # (``knowledge.frame_class``)
+        self.frames: dict = {}
+        self.frame_keys: list = []
+        # (test kind, consts, signature, depth) -> (left frame's class,
+        # class of the right frame's images in ``rho`` order) -> the static
+        # test's witness over the template, or ``None`` (``games.Checker``)
         self.static: dict = {}
         # state -> id of its congruence class, and class id -> the class's
         # representative, its congruence key (``lts.state_class``); the
@@ -242,9 +257,9 @@ class Theory:
 class NormalForms:
     """Hash-consed normal forms of one theory: each distinct normal form
     gets an integer id, each symbol a number, and each symbol applied to
-    interned arguments is normalised once.  A frame's partition of a recipe
-    list is interned as an id too, so that two frames' partitions compare
-    as two integers."""
+    interned arguments is normalised once.  The partition of a recipe
+    template by an image tuple is interned as an id too, so that two image
+    tuples' partitions compare as two integers."""
 
     def __init__(self):
         self.ids: dict[Message, int] = {}
@@ -253,9 +268,9 @@ class NormalForms:
         self.symbol_nos: dict[Symbol, int] = {}
         # (symbol number, argument ids...) -> id of the normal form
         self.apps: dict[tuple, int] = {}
-        # id(recipe list) -> (the list, kept so that its id stays unique; its shape)
+        # id(template) -> (the template, kept so that its id stays unique; its shape)
         self.shapes: dict[int, tuple[list, list]] = {}
-        # (id(recipe list), frame) -> id of the frame's partition of the list
+        # (id(template), images) -> id of the images' partition of the template
         self.partitions: dict[tuple, int] = {}
         # partition pattern -> its id, and id -> pattern
         self.pattern_ids: dict[tuple, int] = {}
@@ -269,43 +284,50 @@ class NormalForms:
             self.terms.append(nf)
         return i
 
-    def shape(self, recipes: list) -> list:
-        """Per recipe: ``(symbol number, symbol, *argument positions)`` when
-        it applies a symbol to earlier recipes of the list, as every recipe
-        of ``recipe_enum`` above its atoms does; otherwise the recipe itself."""
-        hit = self.shapes.get(id(recipes))
+    def shape(self, template: list) -> list:
+        """Per recipe: for an application, ``(symbol number, symbol,
+        *argument positions)``; for the i-th alias of the list, ``i``; for
+        a name, the name itself.  Every application must apply a symbol to
+        earlier recipes of the list, as in ``knowledge.recipe_template``."""
+        hit = self.shapes.get(id(template))
         if hit is not None:
             return hit[1]
         nos = self.symbol_nos
         pos: dict[int, int] = {}
         out: list = []
-        for k, r in enumerate(recipes):
-            if isinstance(r, App) and all(id(a) in pos for a in r.args):
+        aliases = 0
+        for k, r in enumerate(template):
+            if isinstance(r, App):
                 no = nos.setdefault(r.fn, len(nos))
                 out.append((no, r.fn, *(pos[id(a)] for a in r.args)))
+            elif isinstance(r, Alias):
+                out.append(aliases)
+                aliases += 1
             else:
                 out.append(r)
             pos.setdefault(id(r), k)
-        self.shapes[id(recipes)] = (recipes, out)
+        self.shapes[id(template)] = (template, out)
         return out
 
-    def partition(self, recipes: list, frame, normalize) -> int:
-        """The id of the partition of the recipes by their normal forms under
-        the frame.  Its pattern, ``patterns[id]``, gives for each recipe the
-        position of the first recipe with the same normal form, so two
-        frames partition the list alike exactly when their ids are equal.
-        Every recipe is normalised, once per (list, frame).  ``normalize`` is
-        the owning theory's: the table keeps no reference back to the
-        theory, so a dropped theory is freed at once, not by the cycle
-        collector."""
-        key = (id(recipes), frame)
+    def partition(self, template: list, images: tuple, normalize) -> int:
+        """The id of the partition of the template's recipes by their normal
+        forms when the template's i-th alias stands for ``images[i]``.  Its
+        pattern, ``patterns[id]``, gives for each recipe the position of the
+        first recipe with the same normal form, so two image tuples
+        partition the template alike exactly when their ids are equal.
+        Every recipe is normalised, once per (template, images).
+        ``normalize`` is the owning theory's: the table keeps no reference
+        back to the theory, so a dropped theory is freed at once, not by
+        the cycle collector."""
+        key = (id(template), images)
         hit = self.partitions.get(key)
         if hit is not None:
             return hit
         apps, terms, intern = self.apps, self.terms, self.intern
         ids: list[int] = []
-        for entry in self.shape(recipes):
-            if type(entry) is tuple:
+        for entry in self.shape(template):
+            kind = type(entry)
+            if kind is tuple:
                 # unary and binary symbols, the common ones, spelled out
                 if len(entry) == 3:
                     app_key = (entry[0], ids[entry[2]])
@@ -317,8 +339,10 @@ class NormalForms:
                 if i is None:
                     args = tuple(terms[a] for a in app_key[1:])
                     i = apps[app_key] = intern(normalize(App(entry[1], args)))
+            elif kind is int:
+                i = intern(normalize(images[entry]))
             else:
-                i = intern(normalize(apply_msg_subst(entry, frame)))
+                i = intern(normalize(entry))
             ids.append(i)
         first: dict[int, int] = {}
         pattern = tuple([first.setdefault(i, k) for k, i in enumerate(ids)])

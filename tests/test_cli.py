@@ -5,10 +5,11 @@ import re
 
 import pytest
 
-from latspi.cli import main, parse_bounds
+import latspi
+from latspi.cli import PairLimitExceeded, main, parse_bounds
 from latspi.knowledge import RecipeLimitExceeded
 from latspi.lts import ExplorationBounds
-from latspi.terms import RewriteBudgetExceeded
+from latspi.terms import ResourceLimitExceeded, RewriteBudgetExceeded
 
 
 @pytest.fixture
@@ -325,6 +326,14 @@ def test_resource_limit_exits_two(files, capsys, monkeypatch, exc):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and str(exc) in err
+
+
+def test_resource_limits_share_one_exported_base():
+    assert latspi.ResourceLimitExceeded is ResourceLimitExceeded
+    assert latspi.RecipeLimitExceeded is RecipeLimitExceeded
+    assert latspi.RewriteBudgetExceeded is RewriteBudgetExceeded
+    for exc in (RecipeLimitExceeded, RewriteBudgetExceeded, PairLimitExceeded):
+        assert issubclass(exc, latspi.ResourceLimitExceeded)
 
 
 @pytest.mark.parametrize("command", ["parse", "check"])

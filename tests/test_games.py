@@ -24,7 +24,7 @@ from latspi.games import (
     initial_config,
     witness_replay,
 )
-from latspi.knowledge import _scan, recipe_enum, static_equiv_witness
+from latspi.knowledge import frame_class, image_class
 from latspi.lts import ExplorationBounds, default_consts
 from latspi.syntax import ExtendedProcess, alpha_canonical, congruence_key, parse_process
 from latspi.terms import Alias, AliasMap, Substitution, Theory, Var, app, dolev_yao, msg_key
@@ -290,39 +290,56 @@ def test_each_frame_is_partitioned_once_per_theory(monkeypatch):
     case = next(c for c in load_corpus() if c.name == "error-reveal-bang-fsim-st")
     theory = case_theory(case)
     table = theory.normal_forms
-    partition, computed = table.partition, []
+    partition, computed, tests = table.partition, [], []
 
-    def counting(recipes, frame, normalize):
+    def counting(template, images, normalize):
         normalized = []
 
         def norm(m):
             normalized.append(m)
             return normalize(m)
 
-        part = partition(recipes, frame, norm)
+        part = partition(template, images, norm)
         if normalized:  # a computed partition normalises at least its atoms
-            computed.append((id(recipes), frame))
+            computed.append((id(template), images))
         return part
 
     monkeypatch.setattr(table, "partition", counting)
+    for name in ("static_equiv_witness", "static_impl_witness"):
+
+        def canonical(left, right, rho, consts, *rest, _test=getattr(games, name), _name=name):
+            # the game keeps rho a bijection between the two frames' domains
+            assert rho.domain == left.domain and set(rho.mapping.values()) == right.domain
+            tests.append(
+                (
+                    _name,
+                    consts,
+                    *rest[:-1],
+                    frame_class(left, consts, theory),
+                    image_class(frame_class(right, consts, theory), rho, consts, theory),
+                )
+            )
+            return _test(left, right, rho, consts, *rest)
+
+        monkeypatch.setattr(games, name, canonical)
     p, q = parse_process(case.left), parse_process(case.right)
+    verdicts = []
     for rel in Rel:
-        v = check(rel, p, q, case.bounds, theory)
-        assert v.related or witness_replay(v, p, q, theory)
+        verdicts.append(check(rel, p, q, case.bounds, theory))
+        assert verdicts[-1].related or witness_replay(verdicts[-1], p, q, theory)
+    # each static test up to renaming is computed once, and each partition
+    cached = sum(len(scope) for scope in theory.static.values())
+    assert tests and len(tests) == len(set(tests)) == cached
     assert computed and len(computed) == len(set(computed)) == len(table.partitions)
     monkeypatch.undo()
 
-    # a static test whose two partitions are cached normalises nothing
-    tests = [
-        (key, recipe_enum(key[1].domain, *key[4:], theory), w) for key, w in theory.static.items()
-    ]
+    # the tests are cached: checking again normalises nothing
     normalize, normalized = theory.normalize, []
     monkeypatch.setattr(theory, "normalize", lambda m: normalized.append(m) or normalize(m))
-    for (fn, left, right, rho_key, *_), recipes, w in tests:
-        rho = AliasMap({Alias(*a): Alias(*b) for a, b in rho_key})
-        both = fn is static_equiv_witness
-        assert _scan(left, right, rho, recipes, theory, both) == w
-    assert tests and normalized == []
+    for rel, v in zip(Rel, verdicts):
+        assert check(rel, p, q, case.bounds, theory) == v
+    assert normalized == []
+    assert sum(len(scope) for scope in theory.static.values()) == cached
 
 
 # --- congruence-class ids --------------------------------------------------

@@ -4,6 +4,7 @@ from itertools import product
 
 from hypothesis import example, given, settings, strategies as st
 
+from latspi.games import Checker, GameConfig, Rel
 from latspi.knowledge import (
     StaticWitness,
     recipe_enum,
@@ -11,6 +12,8 @@ from latspi.knowledge import (
     static_equiv_witness,
     static_impl_witness,
 )
+from latspi.lts import ExplorationBounds
+from latspi.syntax import ExtendedProcess, Nil
 from latspi.terms import (
     Alias,
     AliasMap,
@@ -335,3 +338,109 @@ def test_interned_scan_matches_term_scan(problem):
     assert static_equiv_witness(*args, _DY) == equiv
     assert static_impl_witness(*args, _DY) == impl
     assert set(_DY.__dict__) == keys
+
+
+# --- the game's static tests, keyed on frame classes ------------------------
+
+_PRIVATE = ["%0", "%1", "%2"]
+_ALIASES = [Alias(p, s) for p in ("", "0", "1", "00", "01", "10", "11") for s in ("l", "l'")]
+
+
+@st.composite
+def _renamed_problems(draw):
+    """A static problem and some variants of it.  A renamed variant renames
+    the private names injectively and replaces the aliases on each side,
+    ``rho`` following the aliases: its test is the same up to renaming.  A
+    rematched variant keeps the frames and draws another ``rho``."""
+    frame_a, frame_b, rho, consts, depth = draw(_static_problems())
+    variants = [(frame_a, frame_b, rho)]
+
+    def renamed(frame):
+        pool = draw(st.permutations(["%0", "%1", "%2", "%3", "%4", "%5"]))
+        names = dict(zip(_PRIVATE, map(Var, pool)))
+        targets = draw(st.lists(st.sampled_from(_ALIASES), min_size=3, max_size=3, unique=True))
+        aliases = dict(zip(sorted(frame.domain, key=lambda a: (a.prefix, a.stem)), targets))
+        new = {aliases[a]: rename_vars(m, names) for a, m in frame.mapping.items()}
+        return Substitution(new), aliases
+
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            new_a, to_a = renamed(frame_a)
+            new_b, to_b = renamed(frame_b)
+            rho_new = AliasMap({to_a[a]: to_b[b] for a, b in rho.mapping.items()})
+            variants.append((new_a, new_b, rho_new))
+        else:
+            sources = sorted(frame_a.domain, key=lambda a: (a.prefix, a.stem))
+            right = sorted(frame_b.domain, key=lambda a: (a.prefix, a.stem))
+            targets = draw(st.permutations(right))
+            variants.append((frame_a, frame_b, AliasMap(dict(zip(sources, targets)))))
+    return variants, consts, depth
+
+
+# one theory for every example, so that tests hit classes met in others
+_GAME_DY = dolev_yao()
+_A, _P0, _P1 = Var("a"), Var("%0"), Var("%1")
+L01 = Alias("01", "l")
+_SAME, _SWAP = AliasMap({L0: L0, L1: L1}), AliasMap({L0: L1, L1: L0})
+
+
+@settings(max_examples=60, deadline=None)
+@given(_renamed_problems(), st.sampled_from([Rel.SIM_I, Rel.PRESIM_I]))
+# the same frames under two alias maps: equivalent when rho swaps the
+# aliases, told apart by 0l = a when it does not
+@example(
+    (
+        [
+            (Substitution({L0: _A, L1: _P0}), Substitution({L0: _P0, L1: _A}), _SWAP),
+            (Substitution({L0: _A, L1: _P0}), Substitution({L0: _P0, L1: _A}), _SAME),
+        ],
+        frozenset({"a"}),
+        0,
+    ),
+    Rel.SIM_I,
+)
+# a three-cycle rho: the first right frame, read in rho order, is the left
+# frame; the second right frame's sorted images are the first's read along
+# the inverse cycle, and 0l = a tells it from the left frame
+@example(
+    (
+        [
+            (
+                Substitution({L0: _A, L01: _P0, L1: _P1}),
+                Substitution({L0: _P1, L01: _A, L1: _P0}),
+                AliasMap({L0: L01, L01: L1, L1: L0}),
+            ),
+            (
+                Substitution({L0: _A, L01: _P0, L1: _P1}),
+                Substitution({L0: _P0, L01: _P1, L1: _A}),
+                AliasMap({L0: L0, L01: L01, L1: L1}),
+            ),
+        ],
+        frozenset({"a"}),
+        0,
+    ),
+    Rel.SIM_I,
+)
+# a name shared by two images is not two names: 0l = 1l separates them
+@example(
+    (
+        [
+            (Substitution({L0: _P0, L1: _P1}), Substitution({L0: _P0, L1: _P1}), _SAME),
+            (Substitution({L0: _P0, L1: _P0}), Substitution({L0: _P0, L1: _P1}), _SAME),
+        ],
+        frozenset({"a"}),
+        0,
+    ),
+    Rel.SIM_I,
+)
+def test_class_keyed_static_test_matches_reference(problem, rel):
+    variants, consts, depth = problem
+    bounds = ExplorationBounds(recipe_depth=1, static_depth=depth, repl_unfold=1, game_depth=1)
+    checker = Checker(rel, _GAME_DY, bounds, DY_SIGNATURE, consts)
+    both = rel is not Rel.PRESIM_I
+    for frame_a, frame_b, rho in variants:
+        reference = dolev_yao()  # no table shared with the checker's theory
+        recipes = _direct_recipe_enum(frame_a.domain, consts, DY_SIGNATURE, depth, reference)
+        expected = _reference_scan(frame_a, frame_b, rho, recipes, reference, both)
+        left, right = ExtendedProcess((), frame_a, Nil()), ExtendedProcess((), frame_b, Nil())
+        assert checker.static_witness(GameConfig(left, right, rho, frozenset())) == expected
