@@ -152,15 +152,9 @@ def run_case(case: CorpusCase) -> tuple[CaseResult, Verdict | None]:
         )
 
 
-def run_corpus(path: str | None = None, names: set[str] | None = None) -> dict:
+def run_corpus(path: str | None = None) -> dict:
     """Run corpus cases and report pass/fail per case with timings."""
-    cases = load_corpus(path)
-    if names is not None:
-        cases = [c for c in cases if c.name in names]
-    results = []
-    for case in cases:
-        result, _ = run_case(case)
-        results.append(result)
+    results = [run_case(case)[0] for case in load_corpus(path)]
     return {
         "total": len(results),
         "passed": sum(1 for r in results if r.ok),

@@ -33,8 +33,8 @@ congruence classes of their two states, which the theory interns
 many checks share the theory.  Successor configurations hold the raw
 residuals of the moves that reach them; a configuration is decided, and
 replayed, on the representatives of its two classes, so a successor is
-canonicalised only when the search visits it, and transitions and static
-tests are computed once per class.
+canonicalised only when the search visits it, and transitions and frame
+partitions are computed once per class.
 
 Maximal retention is optimal.  Take two configurations with the same states
 and the same ``rho``, and pair sets ``P ⊆ P′``.  Every leader win from ``P``
@@ -65,14 +65,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .independence import indep_event, indep_loc
-from .knowledge import (
-    StaticWitness,
-    frame_class,
-    image_class,
-    placeholders,
-    static_equiv_witness,
-    static_impl_witness,
-)
+from .knowledge import StaticWitness, static_equiv_witness, static_impl_witness
 from .lts import (
     Event,
     ExplorationBounds,
@@ -94,7 +87,7 @@ from .syntax import (
     prime_bangs,
     symbols_of,
 )
-from .terms import AliasMap, ID_ALIAS, Symbol, Theory, msg_key
+from .terms import AliasMap, ID_ALIAS, Symbol, Theory
 
 
 class Rel(Enum):
@@ -200,10 +193,6 @@ class Checker:
             self.indep_test = lambda e0, e1: indep_loc(e0.loc, e1.loc)
         else:
             self.indep_table, self.indep_test = theory.indep, indep_event
-        # this check's share of the theory's static tests
-        test = "impl" if rel is Rel.PRESIM_I else "equiv"
-        scope = (test, consts, signature, bounds.static_depth)
-        self.static_tests = theory.static.setdefault(scope, {})
         self.memo: dict = {}
         self.stack: set = set()
         self.tainted = False
@@ -229,49 +218,12 @@ class Checker:
             hit = table[i, j] = self.indep_test(events[i], events[j])
         return hit
 
-    def frame_class(self, state: ExtendedProcess) -> int:
-        """Id of the class of the state's frame, kept in the theory's
-        ``frames`` table under the state too: the game passes class
-        representatives, found there by identity, where a lookup by frame
-        compares equal frames of distinct states term by term."""
-        table, key = self.theory.frames, (state, self.consts)
-        i = table.get(key)
-        if i is None:
-            i = table[key] = frame_class(state.frame, self.consts, self.theory)
-        return i
-
     def static_witness(self, cfg: GameConfig) -> StaticWitness | None:
-        """The static test of the configuration's frames, memoised on the
-        theory by the class of the left frame and the class of the right
-        frame's images in ``rho`` order, so that every check sharing it runs
-        each test once up to renaming aliases and names outside ``consts``.
-        The table keeps the witness over the recipe template; it is renamed
-        into the left frame's domain, where the test itself finds it.
-
-        The game extends ``rho`` and both frames together, one output at a
-        time, so ``rho`` maps the left frame's domain onto the right
-        frame's."""
-        theory, consts = self.theory, self.consts
-        left, right, rho = cfg.left.frame, cfg.right.frame, cfg.rho
-        assert len(rho.mapping) == len(left.mapping) == len(right.mapping)
-        right_class = image_class(self.frame_class(cfg.right), rho, consts, theory)
-        key = (self.frame_class(cfg.left), right_class)
-        tests = self.static_tests
-        try:
-            w = tests[key]
-        except KeyError:
-            fn = static_impl_witness if self.rel is Rel.PRESIM_I else static_equiv_witness
-            w = fn(left, right, rho, consts, self.signature, self.bounds.static_depth, theory)
-            if w is not None:
-                domain = sorted(left.mapping, key=msg_key)
-                tests[key] = w.renamed(domain, placeholders(len(domain)))
-            else:
-                tests[key] = None
-            return w
-        if w is not None:
-            domain = sorted(left.mapping, key=msg_key)
-            w = w.renamed(placeholders(len(domain)), domain)
-        return w
+        """The static test of the configuration's frames, up to ``rho``:
+        one-directional for ``presim-i``, both ways otherwise."""
+        test = static_impl_witness if self.rel is Rel.PRESIM_I else static_equiv_witness
+        left, right, depth = cfg.left.frame, cfg.right.frame, self.bounds.static_depth
+        return test(left, right, cfg.rho, self.consts, self.signature, depth, self.theory)
 
     def match_label(self, left_action, right_action, rho: AliasMap) -> AliasMap | None:
         """Extension of ``rho`` under which the left label maps onto the
@@ -427,21 +379,19 @@ def build_signature(theory: Theory, *procs: Process) -> tuple[Symbol, ...]:
     return tuple(sorted(syms, key=lambda s: (s.name, s.arity)))
 
 
-def check(
-    rel: Rel,
-    p: Process,
-    q: Process,
-    bounds: ExplorationBounds,
-    theory: Theory,
-    signature: tuple[Symbol, ...] | None = None,
-    consts: frozenset[str] | None = None,
-) -> Verdict:
+def _checker(
+    rel: Rel, p: Process, q: Process, bounds: ExplorationBounds, theory: Theory
+) -> Checker:
+    """A checker of ``rel`` on ``p`` and ``q``, over the symbols of the
+    theory and both processes and over their free names."""
+    signature = build_signature(theory, p, q)
+    consts = default_consts(p, q) | frozenset(bounds.extra_consts)
+    return Checker(rel, theory, bounds, signature, consts)
+
+
+def check(rel: Rel, p: Process, q: Process, bounds: ExplorationBounds, theory: Theory) -> Verdict:
     """Decide whether ``p`` relates to ``q`` within the given bounds."""
-    if signature is None:
-        signature = build_signature(theory, p, q)
-    if consts is None:
-        consts = default_consts(p, q) | frozenset(bounds.extra_consts)
-    checker = Checker(rel, theory, bounds, signature, consts)
+    checker = _checker(rel, p, q, bounds, theory)
     witness = checker.run(initial_config(p, q, bounds))
     # only Related verdicts are bound-qualified; a Distinguished verdict is
     # backed by its replayable witness
@@ -458,26 +408,14 @@ def check(
 # --- replay ----------------------------------------------------------------
 
 
-def witness_replay(
-    verdict: Verdict,
-    p: Process,
-    q: Process,
-    theory: Theory,
-    signature: tuple[Symbol, ...] | None = None,
-    consts: frozenset[str] | None = None,
-) -> bool:
+def witness_replay(verdict: Verdict, p: Process, q: Process, theory: Theory) -> bool:
     """Re-verify a distinguishing witness against a fresh game: every node
     must correspond to a legal leader move whose recorded answers are
     exactly the legal follower answers."""
     if verdict.related or verdict.witness is None:
         return False
-    bounds = verdict.bounds
-    if signature is None:
-        signature = build_signature(theory, p, q)
-    if consts is None:
-        consts = default_consts(p, q) | frozenset(bounds.extra_consts)
-    checker = Checker(verdict.relation, theory, bounds, signature, consts)
-    return _replay_node(checker, initial_config(p, q, bounds), verdict.witness)
+    checker = _checker(verdict.relation, p, q, verdict.bounds, theory)
+    return _replay_node(checker, initial_config(p, q, verdict.bounds), verdict.witness)
 
 
 def _replay_node(checker: Checker, cfg: GameConfig, node) -> bool:

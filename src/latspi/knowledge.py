@@ -17,6 +17,20 @@ sorted-alias order, the right frame's in the order ``rho`` takes the left
 aliases to.  It partitions the template by each image tuple, the i-th
 placeholder standing for the i-th image.
 
+A partition does not change when the names outside ``consts`` are renamed
+injectively in the images: recipes mention no such name and rewriting
+commutes with the renaming.  So a static test depends only on the class of
+each side's image tuple up to such a renaming, and on ``consts``, which
+each class key includes: a name may be private under one ``consts`` and
+public under another.  ``frame_class`` interns the class of a frame's
+images in sorted-alias order, and ``image_class`` the class of the same
+images in the order of an alias map; both keep the images of the class's
+first frame.  When ``rho`` maps fewer aliases than the frames have (the
+command line's ``static-equiv`` passes the empty map), the right images in
+the left domain's order are interned directly, an unmapped alias read as
+itself.  Every static test, the game's and the command line's, takes this
+one path.
+
 In a partition of a template, two recipes share a block when their
 substituted normal forms are equal.  A ``terms.NormalForms`` table interns
 each distinct normal form of one theory as a small integer and memoizes,
@@ -25,24 +39,15 @@ normal form, so a recipe's id under the images follows from its arguments'
 ids without rebuilding or hashing the substituted term.  The table turns
 the ids over the template into a pattern, giving for each recipe the
 position of the first recipe in its block, and interns the pattern as an
-id, once per (template, images).  Two frames are statically equivalent
-exactly when their partition ids are equal.  When they differ, the two
-patterns are walked in enumeration order, and the first recipe whose first
-block-mate on one side lies in another block on the other side gives the
-witness: the pair that comparing normal forms recipe by recipe finds
-first, renamed from the template into the left frame's domain.
-
-A partition does not change when the names outside ``consts`` are renamed
-injectively in the images: recipes mention no such name and rewriting
-commutes with the renaming.  Each side's partition depends on that side's
-images alone, so a static test depends only on the class of each side's
-image tuple up to such a renaming.  ``frame_class`` interns the class of a
-frame's images in sorted-alias order, and ``image_class`` the class of the
-same images in the order of an alias map, in the theory's ``frames``
-table; ``games.Checker`` keys its static tests on the two classes.  The
-tables are the theory's, like its recipe lists and transitions: calls
-sharing one ``Theory`` share them, a check and its replay included, and
-they live as long as the theory does.
+id, once per (template, class), from the class's first images.  Two frames
+are statically equivalent exactly when their partition ids are equal.
+When they differ, the two patterns are walked in enumeration order, and
+the first recipe whose first block-mate on one side lies in another block
+on the other side gives the witness: the pair that comparing normal forms
+recipe by recipe finds first, renamed from the template into the left
+frame's domain.  The tables are the theory's, like its recipe lists and
+transitions: calls sharing one ``Theory`` share them, a check and its
+replay included, and they live as long as the theory does.
 
 For a terminating theory the verdict and the witness are those of
 normalising each substituted recipe whole.  The table normalises a recipe
@@ -178,54 +183,48 @@ class StaticWitness:
     holds_left: bool
     holds_right: bool
 
-    def renamed(self, aliases, into) -> StaticWitness:
-        """The witness with each ``aliases[i]`` renamed to ``into[i]``."""
-        rename = AliasMap(dict(zip(aliases, into)))
-        return StaticWitness(rename(self.m), rename(self.n), self.holds_left, self.holds_right)
-
 
 # --- frame classes ---------------------------------------------------------
 
 
 def _class_key(images, consts: frozenset[str]) -> tuple:
-    """The images with every name outside ``consts`` numbered by first
-    occurrence.  An application is encoded as ``(symbol, *arguments)`` and
-    a numbered name as its number, so a key re-encodes to itself."""
+    """``consts`` and the images with every name outside ``consts``
+    numbered by first occurrence, an application encoded as ``(symbol,
+    *arguments)``."""
     numbers: dict = {}
 
     def encode(m):
         kind = type(m)
         if kind is App:
             return (m.fn, *[encode(a) for a in m.args])
-        if kind is tuple:
-            return (m[0], *[encode(a) for a in m[1:]])
-        if kind is int or (kind is Var and m.name not in consts):
+        if kind is Var and m.name not in consts:
             return numbers.setdefault(m, len(numbers))
         return m
 
-    return tuple([encode(m) for m in images])
+    return (consts, *[encode(m) for m in images])
 
 
-def _intern_class(key: tuple, theory: Theory) -> int:
+def _intern_class(images: tuple, consts: frozenset[str], theory: Theory) -> int:
     table = theory.frames
-    i = table.get(("class", key))
+    key = _class_key(images, consts)
+    i = table.get(key)
     if i is None:
-        i = table["class", key] = len(theory.frame_keys)
-        theory.frame_keys.append(key)
+        i = table[key] = len(theory.class_images)
+        theory.class_images.append(images)
     return i
 
 
 def frame_class(frame, consts: frozenset[str], theory: Theory) -> int:
     """Id of the class of the frame's images in sorted-alias order, up to
     renaming the names outside ``consts``.  The theory's ``frames`` table
-    maps each (frame, consts), and each ("class", class key), to the id, so
-    every distinct frame is encoded once per theory;
-    ``theory.frame_keys[id]`` is the key."""
+    maps each (frame, consts), and each class key, to the id, so every
+    distinct frame is encoded once per theory; ``theory.class_images[id]``
+    are the images of the class's first frame."""
     table = theory.frames
     i = table.get((frame, consts))
     if i is None:
-        images = [frame.mapping[a] for a in sorted(frame.mapping, key=msg_key)]
-        i = table[frame, consts] = _intern_class(_class_key(images, consts), theory)
+        images = tuple([frame.mapping[a] for a in sorted(frame.mapping, key=msg_key)])
+        i = table[frame, consts] = _intern_class(images, consts, theory)
     return i
 
 
@@ -240,24 +239,23 @@ def image_class(cls: int, rho: AliasMap, consts: frozenset[str], theory: Theory)
     if i is None:
         targets = [b for _, b in key[1]]
         order = sorted(targets)
-        images = theory.frame_keys[cls]
-        permuted = [images[order.index(b)] for b in targets]
-        i = table[key] = _intern_class(_class_key(permuted, consts), theory)
+        images = theory.class_images[cls]
+        permuted = tuple([images[order.index(b)] for b in targets])
+        i = table[key] = _intern_class(permuted, consts, theory)
     return i
 
 
 # --- static tests ----------------------------------------------------------
 
 
-def _scan(
-    images_a: tuple, images_b: tuple, template: list, theory: Theory, both_directions: bool
-):
+def _scan(cls_a: int, cls_b: int, template: list, theory: Theory, both_directions: bool):
     """``(j, k, holds_left, holds_right)`` for the first template recipes
-    ``j < k`` whose equality holds under one image tuple and not under the
-    other, or ``None`` when the two partition the template alike."""
-    table = theory.normal_forms
-    part_a = table.partition(template, images_a, theory.normalize)
-    part_b = table.partition(template, images_b, theory.normalize)
+    ``j < k`` whose equality holds under the images of one class and not
+    under those of the other, or ``None`` when the two partition the
+    template alike."""
+    table, images = theory.normal_forms, theory.class_images
+    part_a = table.partition(template, cls_a, images[cls_a], theory.normalize)
+    part_b = table.partition(template, cls_b, images[cls_b], theory.normalize)
     if part_a == part_b:
         return None
     pat_a, pat_b = table.patterns[part_a], table.patterns[part_b]
@@ -272,17 +270,20 @@ def _scan(
 
 
 def _static_test(frame_a, frame_b, rho, consts, signature, depth, theory, both_directions):
-    domain = sorted(frame_a.mapping, key=msg_key)
-    template = recipe_template(len(domain), consts, signature, depth, theory)
-    images_a = tuple([frame_a.mapping[a] for a in domain])
-    right = [rho.mapping.get(a, a) for a in domain]
-    images_b = tuple([frame_b.mapping.get(b, b) for b in right])
-    found = _scan(images_a, images_b, template, theory, both_directions)
+    size = len(frame_a.mapping)
+    template = recipe_template(size, consts, signature, depth, theory)
+    cls_a = frame_class(frame_a, consts, theory)
+    if len(rho.mapping) == size == len(frame_b.mapping):
+        cls_b = image_class(frame_class(frame_b, consts, theory), rho, consts, theory)
+    else:
+        right = [rho.mapping.get(a, a) for a in sorted(frame_a.mapping, key=msg_key)]
+        cls_b = _intern_class(tuple([frame_b.mapping.get(b, b) for b in right]), consts, theory)
+    found = _scan(cls_a, cls_b, template, theory, both_directions)
     if found is None:
         return None
     j, k, holds_left, holds_right = found
-    w = StaticWitness(template[j], template[k], holds_left, holds_right)
-    return w.renamed(placeholders(len(domain)), domain)
+    rename = AliasMap(dict(zip(placeholders(size), sorted(frame_a.mapping, key=msg_key))))
+    return StaticWitness(rename(template[j]), rename(template[k]), holds_left, holds_right)
 
 
 def static_equiv_witness(
@@ -296,7 +297,9 @@ def static_equiv_witness(
 ) -> StaticWitness | None:
     """A recipe pair separating the frames up to ``rho``, or ``None`` when
     they are statically equivalent at this depth.  The witness is minimal in
-    the deterministic enumeration order."""
+    the deterministic enumeration order.  A ``rho`` mapping as many aliases
+    as each frame has must map the left frame's domain onto the right
+    frame's; a smaller one is read as the identity outside its domain."""
     return _static_test(frame_a, frame_b, rho, consts, signature, depth, theory, True)
 
 

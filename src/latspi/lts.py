@@ -523,6 +523,11 @@ def state_class(state: ExtendedProcess, theory: Theory) -> int:
         key = congruence_key(state)
         i = classes.get(key)
         if i is None:
+            # representatives with equal frames share one frame object, so
+            # that the static tests' frame lookups find it by identity
+            frame = theory.rep_frames.setdefault(key.frame, key.frame)
+            if frame is not key.frame:
+                key = ExtendedProcess(key.binders, frame, key.body)
             i = classes[key] = len(theory.reps)
             theory.reps.append(key)
         classes[state] = i

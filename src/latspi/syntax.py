@@ -35,7 +35,6 @@ from dataclasses import dataclass
 
 from .terms import (
     ID,
-    Alias,
     App,
     Message,
     Substitution,

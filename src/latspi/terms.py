@@ -160,16 +160,19 @@ def _match(pattern: Message, term: Message, binding: dict) -> bool:
     return all(_match(p, t, binding) for p, t in zip(pattern.args, term.args))
 
 
+# most rewrite steps one normalisation takes before raising ``RewriteBudgetExceeded``
+STEP_BUDGET = 10_000
+
+
 class Theory:
     """An oriented convergent presentation of an equational theory.
 
-    Normal forms are computed by innermost rewriting with a step budget
-    guarding against non-terminating rule sets.
+    Normal forms are computed by innermost rewriting with a step budget,
+    ``STEP_BUDGET``, guarding against non-terminating rule sets.
     """
 
-    def __init__(self, rules: Iterable[RewriteRule], step_budget: int = 10_000):
+    def __init__(self, rules: Iterable[RewriteRule]):
         self.rules = tuple(rules)
-        self.step_budget = step_budget
         # Every memo table of the package lives here: one theory is one
         # cache scope, calls sharing it share their work, and the tables
         # live as long as the theory does.
@@ -183,22 +186,20 @@ class Theory:
         # (``knowledge.recipe_template``), and (aliases, consts, signature,
         # depth) -> the template renamed into the domain (``recipe_enum``)
         self.recipes: dict = {}
-        # (frame, consts) -> id of the frame's class, and so does (game
-        # state, consts) for the state's frame (``games.Checker``); (class
-        # id, alias map's key) -> id of the class of its images in the alias
-        # map's order; ("class", class key) -> id; id -> class key
+        # (frame, consts) -> id of the frame's class; (class id, alias map's
+        # key) -> id of the class of its images in the alias map's order;
+        # class key -> id; id -> the images of the class's first frame
         # (``knowledge.frame_class``)
         self.frames: dict = {}
-        self.frame_keys: list = []
-        # (test kind, consts, signature, depth) -> (left frame's class,
-        # class of the right frame's images in ``rho`` order) -> the static
-        # test's witness over the template, or ``None`` (``games.Checker``)
-        self.static: dict = {}
+        self.class_images: list = []
         # state -> id of its congruence class, and class id -> the class's
         # representative, its congruence key (``lts.state_class``); the
         # game, ``reachable_lts`` and ``diamond_check`` share them
         self.classes: dict = {}
         self.reps: list = []
+        # frame -> the one frame object that the representatives with an
+        # equal frame share (``lts.state_class``)
+        self.rep_frames: dict = {}
         # event -> its id, and id -> the event and its ``event_key``
         # (``lts.event_id``); the game remembers and compares events by id
         self.event_ids: dict = {}
@@ -237,9 +238,9 @@ class Theory:
                 self._cache[m] = term
                 return term
             steps[0] += 1
-            if steps[0] > self.step_budget:
+            if steps[0] > STEP_BUDGET:
                 raise RewriteBudgetExceeded(
-                    f"exceeded {self.step_budget} rewrite steps; rules likely non-terminating"
+                    f"exceeded {STEP_BUDGET} rewrite steps; rules likely non-terminating"
                 )
             term = self._norm(reduct, steps)
 
@@ -270,7 +271,8 @@ class NormalForms:
         self.apps: dict[tuple, int] = {}
         # id(template) -> (the template, kept so that its id stays unique; its shape)
         self.shapes: dict[int, tuple[list, list]] = {}
-        # (id(template), images) -> id of the images' partition of the template
+        # (id(template), class id) -> id of the partition of the template by
+        # the class's images
         self.partitions: dict[tuple, int] = {}
         # partition pattern -> its id, and id -> pattern
         self.pattern_ids: dict[tuple, int] = {}
@@ -309,17 +311,18 @@ class NormalForms:
         self.shapes[id(template)] = (template, out)
         return out
 
-    def partition(self, template: list, images: tuple, normalize) -> int:
+    def partition(self, template: list, cls: int, images: tuple, normalize) -> int:
         """The id of the partition of the template's recipes by their normal
-        forms when the template's i-th alias stands for ``images[i]``.  Its
-        pattern, ``patterns[id]``, gives for each recipe the position of the
-        first recipe with the same normal form, so two image tuples
-        partition the template alike exactly when their ids are equal.
-        Every recipe is normalised, once per (template, images).
-        ``normalize`` is the owning theory's: the table keeps no reference
-        back to the theory, so a dropped theory is freed at once, not by
-        the cycle collector."""
-        key = (id(template), images)
+        forms when the template's i-th alias stands for ``images[i]``, the
+        images of the frame class ``cls`` (``knowledge.frame_class``), whose
+        frames all partition the template alike.  Its pattern,
+        ``patterns[id]``, gives for each recipe the position of the first
+        recipe with the same normal form, so two image tuples partition the
+        template alike exactly when their ids are equal.  Every recipe is
+        normalised, once per (template, class).  ``normalize`` is the owning
+        theory's: the table keeps no reference back to the theory, so a
+        dropped theory is freed at once, not by the cycle collector."""
+        key = (id(template), cls)
         hit = self.partitions.get(key)
         if hit is not None:
             return hit
@@ -507,7 +510,7 @@ def _parse_msg(text: str, arities: dict[str, int]):
     return App(Symbol(name, len(args)), tuple(args)), rest
 
 
-def parse_theory(text: str, step_budget: int = 10_000) -> Theory:
+def parse_theory(text: str) -> Theory:
     """Parse a theory file: one ``lhs -> rhs`` rule per line, ``#`` comments."""
     rules = []
     arities: dict[str, int] = {}
@@ -524,7 +527,7 @@ def parse_theory(text: str, step_budget: int = 10_000) -> Theory:
             rules.append(RewriteRule(lhs, rhs))
         except TheoryError as e:
             raise TheoryError(f"line {lineno}: {e}") from None
-    return Theory(rules, step_budget=step_budget)
+    return Theory(rules)
 
 
 DOLEV_YAO_TEXT = """\

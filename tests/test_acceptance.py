@@ -11,7 +11,6 @@ from dataclasses import replace
 from pathlib import Path
 
 from latspi.corpus import (
-    DISTINGUISHED,
     RELATED_BOUNDED,
     RELATED_EXACT,
     case_theory,

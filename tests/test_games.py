@@ -12,7 +12,7 @@ import pytest
 
 from latspi import games, lts
 from latspi.cli import load_theory, witness_to_json
-from latspi.corpus import DISTINGUISHED, case_theory, load_corpus, run_case, verdict_class
+from latspi.corpus import DISTINGUISHED, case_theory, load_corpus, run_case
 from latspi.games import (
     Checker,
     FailureNode,
@@ -24,18 +24,17 @@ from latspi.games import (
     initial_config,
     witness_replay,
 )
-from latspi.knowledge import frame_class, image_class
 from latspi.lts import ExplorationBounds, default_consts
 from latspi.syntax import ExtendedProcess, alpha_canonical, congruence_key, parse_process
-from latspi.terms import Alias, AliasMap, Substitution, Theory, Var, app, dolev_yao, msg_key
+from latspi.terms import Alias, AliasMap, Substitution, Theory, Var, app, msg_key
 from st_oracle import ExhaustiveST, check_exhaustive
 
 B = ExplorationBounds(recipe_depth=1, static_depth=1, repl_unfold=2, game_depth=12)
 
 
-def V(rel, left, right, bounds=B, theory=None, **kw):
+def V(rel, left, right, bounds=B, theory=None):
     theory = Theory(()) if theory is None else theory
-    return check(rel, parse_process(left), parse_process(right), bounds, theory, **kw)
+    return check(rel, parse_process(left), parse_process(right), bounds, theory)
 
 
 # --- elementary verdicts ---------------------------------------------------
@@ -266,80 +265,49 @@ def test_tables_die_with_their_theory():
     assert ref() is None
 
 
-def test_each_static_test_runs_once_per_theory(monkeypatch):
-    # the 13 relations and their replays on one pair share one theory
-    case = next(c for c in load_corpus() if c.name == "fresh-vs-hash-sim-hp")
-    calls = []
-    for name in ("static_equiv_witness", "static_impl_witness"):
-
-        def counting(left, right, rho, *rest, _test=getattr(games, name), _name=name):
-            calls.append((_name, left, right, rho.key(), *rest[:-1]))
-            return _test(left, right, rho, *rest)
-
-        monkeypatch.setattr(games, name, counting)
-    p, q = parse_process(case.left), parse_process(case.right)
-    theory = case_theory(case)
-    for rel in Rel:
-        v = check(rel, p, q, case.bounds, theory)
-        assert v.related or witness_replay(v, p, q, theory)
-    assert calls and len(calls) == len(set(calls))
-
-
 def test_each_frame_is_partitioned_once_per_theory(monkeypatch):
     # the 13 relations and their replays on one pair share one theory
     case = next(c for c in load_corpus() if c.name == "error-reveal-bang-fsim-st")
     theory = case_theory(case)
     table = theory.normal_forms
-    partition, computed, tests = table.partition, [], []
+    partition, computed = table.partition, []
 
-    def counting(template, images, normalize):
+    def counting(template, cls, images, normalize):
         normalized = []
 
         def norm(m):
             normalized.append(m)
             return normalize(m)
 
-        part = partition(template, images, norm)
+        part = partition(template, cls, images, norm)
         if normalized:  # a computed partition normalises at least its atoms
-            computed.append((id(template), images))
+            computed.append((id(template), cls))
         return part
 
     monkeypatch.setattr(table, "partition", counting)
     for name in ("static_equiv_witness", "static_impl_witness"):
 
-        def canonical(left, right, rho, consts, *rest, _test=getattr(games, name), _name=name):
+        def bijective(left, right, rho, *rest, _test=getattr(games, name)):
             # the game keeps rho a bijection between the two frames' domains
             assert rho.domain == left.domain and set(rho.mapping.values()) == right.domain
-            tests.append(
-                (
-                    _name,
-                    consts,
-                    *rest[:-1],
-                    frame_class(left, consts, theory),
-                    image_class(frame_class(right, consts, theory), rho, consts, theory),
-                )
-            )
-            return _test(left, right, rho, consts, *rest)
+            return _test(left, right, rho, *rest)
 
-        monkeypatch.setattr(games, name, canonical)
+        monkeypatch.setattr(games, name, bijective)
     p, q = parse_process(case.left), parse_process(case.right)
     verdicts = []
     for rel in Rel:
         verdicts.append(check(rel, p, q, case.bounds, theory))
         assert verdicts[-1].related or witness_replay(verdicts[-1], p, q, theory)
-    # each static test up to renaming is computed once, and each partition
-    cached = sum(len(scope) for scope in theory.static.values())
-    assert tests and len(tests) == len(set(tests)) == cached
+    # each (template, frame class) partition is computed once
     assert computed and len(computed) == len(set(computed)) == len(table.partitions)
     monkeypatch.undo()
 
-    # the tests are cached: checking again normalises nothing
+    # the partitions are cached: checking again normalises nothing
     normalize, normalized = theory.normalize, []
     monkeypatch.setattr(theory, "normalize", lambda m: normalized.append(m) or normalize(m))
     for rel, v in zip(Rel, verdicts):
         assert check(rel, p, q, case.bounds, theory) == v
     assert normalized == []
-    assert sum(len(scope) for scope in theory.static.values()) == cached
 
 
 # --- congruence-class ids --------------------------------------------------

@@ -202,6 +202,19 @@ def test_alias_bijection_applied_to_right():
     assert static_equiv_witness(left, right, rho, frozenset({"x"}), (), 1, Theory(())) is None
 
 
+def test_frame_classes_are_keyed_on_consts():
+    # one theory: b is a private name under {w0, a}, where 0l -> b and 0l -> c
+    # are one class, and a public one under {w0, b}, where 0l = b holds on
+    # the left only
+    theory = Theory(())
+    left, right = Substitution({L0: Var("b")}), Substitution({L0: Var("c")})
+    for rho in (AliasMap({L0: L0}), ID_ALIAS):
+        args = (left, right, rho)
+        assert static_equiv_witness(*args, frozenset({"w0", "a"}), (), 1, theory) is None
+        w = static_equiv_witness(*args, frozenset({"w0", "b"}), (), 1, theory)
+        assert w == StaticWitness(L0, Var("b"), True, False)
+
+
 # --- agreement with the term-level scan ------------------------------------
 
 

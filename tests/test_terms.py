@@ -64,8 +64,9 @@ def test_dolev_yao_normal_forms():
     assert th.normalize(stuck) == stuck
 
 
-def test_rewrite_budget():
-    th = parse_theory("f(x) -> f(f(x))", step_budget=50)
+def test_rewrite_budget(monkeypatch):
+    monkeypatch.setattr("latspi.terms.STEP_BUDGET", 50)
+    th = parse_theory("f(x) -> f(f(x))")
     with pytest.raises(RewriteBudgetExceeded):
         th.normalize(T("f(a)"))
 
