@@ -25,11 +25,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
+from operator import itemgetter
 
 from . import knowledge
 from .terms import (
     Alias,
     Message,
+    Node,
     Symbol,
     Theory,
     Var,
@@ -63,23 +65,29 @@ from .syntax import (
 # --- locations and events --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Location:
+class Location(Node):
     """Parallel prefix plus choice part, both bitstrings."""
 
-    prefix: str
-    choice: str
+    __slots__ = ()
+    prefix = property(itemgetter(1))
+    choice = property(itemgetter(2))
+
+    def __new__(cls, prefix: str, choice: str):
+        return tuple.__new__(cls, ("Location", prefix, choice))
 
     def __str__(self):
         return f"{self.prefix}[{self.choice}]"
 
 
-@dataclass(frozen=True)
-class PairLoc:
+class PairLoc(Node):
     """Location label of a synchronisation: one location per participant."""
 
-    left: Location
-    right: Location
+    __slots__ = ()
+    left = property(itemgetter(1))
+    right = property(itemgetter(2))
+
+    def __new__(cls, left: Location, right: Location):
+        return tuple.__new__(cls, ("PairLoc", left, right))
 
     def __str__(self):
         return f"({self.left}, {self.right})"
@@ -88,26 +96,36 @@ class PairLoc:
 LocationLabel = Location | PairLoc
 
 
-@dataclass(frozen=True)
-class OutLabel:
-    chan: Message
-    alias: Alias
+class OutLabel(Node):
+    __slots__ = ()
+    chan = property(itemgetter(1))
+    alias = property(itemgetter(2))
+
+    def __new__(cls, chan: Message, alias: Alias):
+        return tuple.__new__(cls, ("OutLabel", chan, alias))
 
     def __str__(self):
         return f"^{self.chan}({self.alias})"
 
 
-@dataclass(frozen=True)
-class InLabel:
-    chan: Message
-    payload: Message
+class InLabel(Node):
+    __slots__ = ()
+    chan = property(itemgetter(1))
+    payload = property(itemgetter(2))
+
+    def __new__(cls, chan: Message, payload: Message):
+        return tuple.__new__(cls, ("InLabel", chan, payload))
 
     def __str__(self):
         return f"{self.chan}({self.payload})"
 
 
-@dataclass(frozen=True)
-class TauLabel:
+class TauLabel(Node):
+    __slots__ = ()
+
+    def __new__(cls):
+        return tuple.__new__(cls, ("TauLabel",))
+
     def __str__(self):
         return "tau"
 
@@ -125,10 +143,13 @@ def label_aliases(a: ActionLabel) -> frozenset[Alias]:
     return frozenset()
 
 
-@dataclass(frozen=True)
-class Event:
-    action: ActionLabel
-    loc: LocationLabel
+class Event(Node):
+    __slots__ = ()
+    action = property(itemgetter(1))
+    loc = property(itemgetter(2))
+
+    def __new__(cls, action: ActionLabel, loc: LocationLabel):
+        return tuple.__new__(cls, ("Event", action, loc))
 
     def __str__(self):
         return f"({self.action}, {self.loc})"

@@ -11,6 +11,12 @@ Two reserved namespaces keep renaming hygienic: canonical binders are named
 Neither is accepted by the parser, so user-level names never collide with
 machine-chosen ones.
 
+Processes are ``terms.Node`` values, as messages are: immutable trees,
+hashed and compared structurally, each stored as the tuple ``(class name,
+*fields)`` so that hashing and equality run in C.  Two classes with the
+same fields, such as ``Par`` and ``Sum`` or ``Match`` and ``Mismatch``,
+never compare equal.  No code may rely on a process's being a tuple.
+
 Every walk over the syntax (names, symbols, substitution, priming,
 canonical forms) goes through two methods that each process class
 defines.  ``p.parts()`` returns ``(msgs, binder, kids)``: the messages the
@@ -32,11 +38,13 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .terms import (
     ID,
     App,
     Message,
+    Node,
     Substitution,
     Symbol,
     Var,
@@ -50,15 +58,19 @@ class ParseError(Exception):
     pass
 
 
-class Process:
+class Process(Node):
     """A process node, walked through ``parts`` and ``remake`` (see the
     module docstring)."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Nil(Process):
+    __slots__ = ()
+
+    def __new__(cls):
+        return tuple.__new__(cls, ("Nil",))
+
     def parts(self):
         return (), None, ()
 
@@ -66,10 +78,13 @@ class Nil(Process):
         return self
 
 
-@dataclass(frozen=True)
 class New(Process):
-    name: str
-    body: Process
+    __slots__ = ()
+    name = property(itemgetter(1))
+    body = property(itemgetter(2))
+
+    def __new__(cls, name: str, body: Process):
+        return tuple.__new__(cls, ("New", name, body))
 
     def parts(self):
         return (), self.name, (self.body,)
@@ -78,10 +93,13 @@ class New(Process):
         return New(binder, kids[0])
 
 
-@dataclass(frozen=True)
 class Par(Process):
-    left: Process
-    right: Process
+    __slots__ = ()
+    left = property(itemgetter(1))
+    right = property(itemgetter(2))
+
+    def __new__(cls, left: Process, right: Process):
+        return tuple.__new__(cls, ("Par", left, right))
 
     def parts(self):
         return (), None, (self.left, self.right)
@@ -90,13 +108,16 @@ class Par(Process):
         return Par(kids[0], kids[1])
 
 
-@dataclass(frozen=True)
 class Bang(Process):
     """Replication.  ``fuel`` bounds the remaining unfoldings during
     exploration; ``None`` means the process has not been primed yet."""
 
-    body: Process
-    fuel: int | None = None
+    __slots__ = ()
+    body = property(itemgetter(1))
+    fuel = property(itemgetter(2))
+
+    def __new__(cls, body: Process, fuel: int | None = None):
+        return tuple.__new__(cls, ("Bang", body, fuel))
 
     def parts(self):
         return (), None, (self.body,)
@@ -109,11 +130,14 @@ class Guard(Process):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class In(Guard):
-    chan: Message
-    binder: str
-    body: Process
+    __slots__ = ()
+    chan = property(itemgetter(1))
+    binder = property(itemgetter(2))
+    body = property(itemgetter(3))
+
+    def __new__(cls, chan: Message, binder: str, body: Process):
+        return tuple.__new__(cls, ("In", chan, binder, body))
 
     def parts(self):
         return (self.chan,), self.binder, (self.body,)
@@ -122,11 +146,14 @@ class In(Guard):
         return In(msgs[0], binder, kids[0])
 
 
-@dataclass(frozen=True)
 class Out(Guard):
-    chan: Message
-    payload: Message
-    body: Process
+    __slots__ = ()
+    chan = property(itemgetter(1))
+    payload = property(itemgetter(2))
+    body = property(itemgetter(3))
+
+    def __new__(cls, chan: Message, payload: Message, body: Process):
+        return tuple.__new__(cls, ("Out", chan, payload, body))
 
     def parts(self):
         return (self.chan, self.payload), None, (self.body,)
@@ -135,11 +162,14 @@ class Out(Guard):
         return Out(msgs[0], msgs[1], kids[0])
 
 
-@dataclass(frozen=True)
 class Match(Guard):
-    lhs: Message
-    rhs: Message
-    body: Guard
+    __slots__ = ()
+    lhs = property(itemgetter(1))
+    rhs = property(itemgetter(2))
+    body = property(itemgetter(3))
+
+    def __new__(cls, lhs: Message, rhs: Message, body: Guard):
+        return tuple.__new__(cls, ("Match", lhs, rhs, body))
 
     def parts(self):
         return (self.lhs, self.rhs), None, (self.body,)
@@ -148,11 +178,14 @@ class Match(Guard):
         return Match(msgs[0], msgs[1], kids[0])
 
 
-@dataclass(frozen=True)
 class Mismatch(Guard):
-    lhs: Message
-    rhs: Message
-    body: Guard
+    __slots__ = ()
+    lhs = property(itemgetter(1))
+    rhs = property(itemgetter(2))
+    body = property(itemgetter(3))
+
+    def __new__(cls, lhs: Message, rhs: Message, body: Guard):
+        return tuple.__new__(cls, ("Mismatch", lhs, rhs, body))
 
     def parts(self):
         return (self.lhs, self.rhs), None, (self.body,)
@@ -161,10 +194,13 @@ class Mismatch(Guard):
         return Mismatch(msgs[0], msgs[1], kids[0])
 
 
-@dataclass(frozen=True)
 class Sum(Guard):
-    left: Guard
-    right: Guard
+    __slots__ = ()
+    left = property(itemgetter(1))
+    right = property(itemgetter(2))
+
+    def __new__(cls, left: Guard, right: Guard):
+        return tuple.__new__(cls, ("Sum", left, right))
 
     def parts(self):
         return (), None, (self.left, self.right)

@@ -6,11 +6,21 @@ variables, and located aliases.  An alias is a handle ``<prefix><stem>``
 to the environment.  Equality modulo the user-supplied equational theory is
 decided by innermost rewriting to normal form; the user asserts that the
 oriented rules are terminating and confluent.
+
+Messages, and the process and event trees built over them (``syntax``,
+``lts``), are ``Node`` values: immutable trees, hashed and compared
+structurally.  A node is stored as the tuple ``(class name, *fields)``, so
+that hashing, equality and construction run in the interpreter's C tuple
+code; every layer keys its tables on such trees.  The leading class name
+keeps nodes of two classes with the same fields apart, and being a string
+it hashes as the fields do, by ``PYTHONHASHSEED`` alone.  Fields are read
+by name; no code outside a node's class may rely on its being a tuple.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Mapping
 
 
@@ -27,46 +37,69 @@ class TheoryError(Exception):
     """Malformed theory file or rule."""
 
 
-@dataclass(frozen=True)
-class Symbol:
-    name: str
-    arity: int
+class Node(tuple):
+    """An immutable tree node, stored as the tuple ``(class name, *fields)``
+    (see the module docstring).  Each subclass reads its fields through
+    ``property(itemgetter(i))`` and packs them in its own ``__new__``."""
+
+    __slots__ = ()
+
+    def __getnewargs__(self):
+        # ``copy`` and ``pickle`` rebuild a node through its ``__new__``
+        return self[1:]
+
+    def __repr__(self):
+        return f"{self[0]}({', '.join(map(repr, self[1:]))})"
+
+
+class Symbol(Node):
+    __slots__ = ()
+    name = property(itemgetter(1))
+    arity = property(itemgetter(2))
+
+    def __new__(cls, name: str, arity: int):
+        return tuple.__new__(cls, ("Symbol", name, arity))
 
     def __repr__(self):
         return f"{self.name}/{self.arity}"
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class Var(Node):
+    __slots__ = ()
+    name = property(itemgetter(1))
+
+    def __new__(cls, name: str):
+        return tuple.__new__(cls, ("Var", name))
 
     def __str__(self):
         return self.name
 
 
-@dataclass(frozen=True)
-class Alias:
+class Alias(Node):
     """A located alias: bitstring prefix plus stem, e.g. ``01l``."""
 
-    prefix: str
-    stem: str
+    __slots__ = ()
+    prefix = property(itemgetter(1))
+    stem = property(itemgetter(2))
 
-    def __post_init__(self):
-        if not set(self.prefix) <= {"0", "1"}:
-            raise ValueError(f"alias prefix must be a bitstring: {self.prefix!r}")
+    def __new__(cls, prefix: str, stem: str):
+        if prefix.strip("01"):
+            raise ValueError(f"alias prefix must be a bitstring: {prefix!r}")
+        return tuple.__new__(cls, ("Alias", prefix, stem))
 
     def __str__(self):
         return self.prefix + self.stem
 
 
-@dataclass(frozen=True)
-class App:
-    fn: Symbol
-    args: tuple
+class App(Node):
+    __slots__ = ()
+    fn = property(itemgetter(1))
+    args = property(itemgetter(2))
 
-    def __post_init__(self):
-        if len(self.args) != self.fn.arity:
-            raise ValueError(f"{self.fn} applied to {len(self.args)} arguments")
+    def __new__(cls, fn: Symbol, args: tuple):
+        if len(args) != fn.arity:
+            raise ValueError(f"{fn} applied to {len(args)} arguments")
+        return tuple.__new__(cls, ("App", fn, args))
 
     def __str__(self):
         return f"{self.fn.name}({', '.join(str(a) for a in self.args)})"
@@ -330,6 +363,7 @@ class NormalForms:
         ids: list[int] = []
         for entry in self.shape(template):
             kind = type(entry)
+            # exactly ``tuple``: a name's entry, a ``Var``, is a tuple subclass
             if kind is tuple:
                 # unary and binary symbols, the common ones, spelled out
                 if len(entry) == 3:
@@ -434,7 +468,7 @@ class AliasMap:
         return frozenset(self.mapping)
 
     def __call__(self, m: Message) -> Message:
-        if isinstance(m, Var):
+        if not self.mapping or isinstance(m, Var):
             return m
         if isinstance(m, Alias):
             return self.mapping.get(m, m)
@@ -454,11 +488,13 @@ class AliasMap:
         return self._key
 
     def extend(self, a: Alias, b: Alias) -> "AliasMap":
-        if a in self.mapping or b in set(self.mapping.values()):
+        if a in self.mapping or b in self.mapping.values():
             raise ValueError("extension breaks injectivity")
-        new = dict(self.mapping)
-        new[a] = b
-        return AliasMap(new)
+        # injective by the test above, so ``__init__``'s test is skipped
+        new = object.__new__(AliasMap)
+        new.mapping = {**self.mapping, a: b}
+        new._key = None
+        return new
 
     def __str__(self):
         if not self.mapping:

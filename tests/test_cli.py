@@ -2,6 +2,7 @@
 
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -204,7 +205,7 @@ def test_check_distinguished_exit_one_and_witness(files, capsys, tmp_path):
     wit = str(tmp_path / "w.json")
     code, out, _ = run(capsys, "check", "sim-st", l, r, "--bounds", "depth=1", "--witness", wit)
     assert code == 1 and "DISTINGUISHED" in out and "replay ok" in out
-    data = json.loads(open(wit).read())
+    data = json.loads(Path(wit).read_text())
     assert data["relation"] == "sim-st" and data["witness"]["kind"] == "lead"
 
     code, out, _ = run(capsys, "explain", wit)

@@ -1,5 +1,8 @@
 """Process syntax: parsing, printing, canonical forms, congruence."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -26,7 +29,8 @@ from latspi.syntax import (
     subst_proc,
     to_text,
 )
-from latspi.terms import Alias, Substitution, Var, app
+from latspi.lts import TauLabel
+from latspi.terms import Alias, App, Substitution, Symbol, Var, app, msg_key
 
 
 # --- parsing and printing --------------------------------------------------
@@ -205,3 +209,73 @@ def test_random_round_trip(p):
 def test_alpha_canonical_stable(p):
     a = alpha_canonical(from_process(p))
     assert alpha_canonical(a) == a
+
+
+# --- nodes: structural equality and hashing ---------------------------------
+
+
+_atoms = st.one_of(
+    st.sampled_from(["a", "x"]).map(Var),
+    st.tuples(st.sampled_from(["", "0", "01"]), st.sampled_from(["l", "a"])).map(
+        lambda t: Alias(*t)
+    ),
+)
+_messages = st.recursive(
+    _atoms,
+    lambda kids: st.tuples(
+        st.sampled_from([Symbol("h", 1), Symbol("h", 2), Symbol("pair", 2)]),
+        st.lists(kids, min_size=2, max_size=2),
+    ).map(lambda t: App(t[0], tuple(t[1][: t[0].arity]))),
+    max_leaves=4,
+)
+# processes with their replications unprimed or primed with some fuel
+_primed = st.tuples(_procs(), st.sampled_from([None, 1, 2])).map(
+    lambda t: t[0] if t[1] is None else prime_bangs(t[0], t[1])
+)
+
+
+def _ref_key(p):
+    """The class name and fields of a process, read through ``parts`` and
+    ``msg_key``: a reference for the nodes' own equality."""
+    msgs, binder, kids = p.parts()
+    fuel = p.fuel if isinstance(p, Bang) else None
+    return (type(p).__name__, [msg_key(m) for m in msgs], binder, fuel, [_ref_key(k) for k in kids])
+
+
+@given(_messages, _messages)
+def test_message_equality_is_structural(m, n):
+    assert (m == n) == (msg_key(m) == msg_key(n))
+    if m == n:
+        assert hash(m) == hash(n)
+
+
+@given(_primed, _primed)
+def test_process_equality_is_structural(p, q):
+    assert (p == q) == (_ref_key(p) == _ref_key(q))
+    if p == q:
+        assert hash(p) == hash(q)
+
+
+@given(st.one_of(_messages, _primed))
+def test_nodes_survive_copy_and_pickle(node):
+    for twin in (copy.deepcopy(node), pickle.loads(pickle.dumps(node))):
+        assert twin is not node and type(twin) is type(node)
+        assert twin == node and hash(twin) == hash(node)
+
+
+def test_nodes_of_two_classes_with_equal_fields_differ():
+    x, y, guard = Var("x"), Var("y"), parse_process("out(a, b)")
+    pairs = [
+        (Par(guard, guard), Sum(guard, guard)),
+        (Match(x, y, guard), Mismatch(x, y, guard)),
+        (Nil(), TauLabel()),
+    ]
+    for p, q in pairs:
+        assert p != q and len({p, q}) == 2
+
+
+def test_node_constructors_check_their_fields():
+    with pytest.raises(ValueError):
+        Alias("2", "l")
+    with pytest.raises(ValueError):
+        App(Symbol("h", 1), (Var("x"), Var("y")))
