@@ -25,16 +25,20 @@ of ``e`` and keeps those pairs, the events still running; HP demands the
 leader side's bit for every pair and keeps the independent ones; ``iloc`` and
 ``ifull`` demand the bit for every pair and keep them all; the interleaving
 relations demand and keep nothing.  The failure round applies the same rule
-to the right side's move.  Since every transition consumes a prefix or a
-replication budget, the bounded game tree is finite and is explored by a
-memoized AND-OR search.  Configurations are memoized on the ids of the
-congruence classes of their two states, which the theory interns
-(``lts.state_class``), so each distinct state is canonicalised once however
-many checks share the theory.  Successor configurations hold the raw
-residuals of the moves that reach them; a configuration is decided, and
-replayed, on the representatives of its two classes, so a successor is
-canonicalised only when the search visits it, and transitions and frame
-partitions are computed once per class.
+to the right side's move.  A memoized AND-OR search explores the game tree,
+cut at ``game_depth`` rounds; a cut taints the verdict.  The tree is finite
+without phantom answers, as every transition consumes a prefix or a
+replication budget.  A phantom answer (a firing beyond a spent budget) keeps
+``Bang(body, 0)`` and adds a live continuation that the other side may lead
+from, so only the cut ends the search; phantom steps taint the verdict too.
+Configurations are memoized on the ids of the congruence classes of their
+two states, which the theory interns (``lts.state_class``), so each
+distinct state is canonicalised once however many checks share the theory.
+Successor configurations hold the raw residuals of the moves that reach
+them; a configuration is decided, and replayed, on the representatives of
+its two classes, so a successor is canonicalised only when the search
+visits it, and transitions and frame partitions are computed once per
+class.
 
 Maximal retention is optimal.  Take two configurations with the same states
 and the same ``rho``, and pair sets ``P ⊆ P′``.  Every leader win from ``P``
@@ -184,6 +188,10 @@ class Checker:
         consts: frozenset[str],
     ):
         self.rel = rel
+        # the relation's traits, read once here: ``rule`` runs on every move
+        self.family = rel.family
+        self.is_bisim = rel.is_bisim
+        self.has_failure_round = rel.has_failure_round
         self.theory = theory
         self.bounds = bounds
         self.signature = signature
@@ -249,7 +257,7 @@ class Checker:
         """``(demands, kept)`` for the leader's move of event ``eid`` on
         ``side``, under maximal retention; ``kept`` is ``None`` when the
         relation remembers no pairs."""
-        family = self.rel.family
+        family = self.family
         if family == "none":
             return (), None
         j = 0 if side == "left" else 1
@@ -343,11 +351,11 @@ class Checker:
                 tset = tsets[side] = self.transitions(cfg.left if side == "left" else cfg.right)
             return tset
 
-        if self.rel.has_failure_round:
+        if self.has_failure_round:
             fnode = self.failure_witness(cfg, fetch("left"), fetch("right"))
             if fnode is not None:
                 return fnode
-        sides = ("left", "right") if self.rel.is_bisim else ("left",)
+        sides = ("left", "right") if self.is_bisim else ("left",)
         for side in sides:
             follower = "right" if side == "left" else "left"
             for step in fetch(side).real_steps:
@@ -433,7 +441,7 @@ def _replay_node(checker: Checker, cfg: GameConfig, node) -> bool:
             and w.holds_right == node.holds_right
         )
     if isinstance(node, FailureNode):
-        if not checker.rel.has_failure_round or checker.static_witness(cfg) is not None:
+        if not checker.has_failure_round or checker.static_witness(cfg) is not None:
             return False
         left, right = checker.transitions(cfg.left), checker.transitions(cfg.right)
         fnode = checker.failure_witness(cfg, left, right)
@@ -441,7 +449,7 @@ def _replay_node(checker: Checker, cfg: GameConfig, node) -> bool:
     if isinstance(node, LeadNode):
         if checker.static_witness(cfg) is not None:
             return False
-        if node.side == "right" and not checker.rel.is_bisim:
+        if node.side == "right" and not checker.is_bisim:
             return False
         leader, follower = (cfg.left, cfg.right) if node.side == "left" else (cfg.right, cfg.left)
         for step in checker.transitions(leader).real_steps:

@@ -12,7 +12,7 @@ import pytest
 
 from latspi import games, lts
 from latspi.cli import load_theory, witness_to_json
-from latspi.corpus import DISTINGUISHED, case_theory, load_corpus, run_case
+from latspi.corpus import DISTINGUISHED, RELATED_BOUNDED, case_theory, load_corpus, run_case, verdict_class
 from latspi.games import (
     Checker,
     FailureNode,
@@ -228,6 +228,30 @@ def test_stack_hit_taints():
     assert checker.run(cfg) is None and checker.tainted
     fresh = Checker(Rel.SIM_I, theory, B, checker.signature, checker.consts)
     assert fresh.run(cfg) is not None  # the configuration is refutable
+
+
+class _DepthProbe(Checker):
+    """A checker that records the deepest game round its search enters."""
+
+    deepest = 0
+
+    def run(self, cfg, depth=0):
+        self.deepest = max(self.deepest, depth)
+        return super().run(cfg, depth)
+
+
+@pytest.mark.parametrize("game_depth", [4, 8, 12, 20])
+def test_phantom_answers_keep_the_game_going_to_the_depth_cut(game_depth):
+    # a phantom answer keeps ``Bang(body, 0)`` and adds a live continuation,
+    # from which the other side leads in turn, so no fuel runs out and only
+    # the game depth ends the search; phantom steps taint the verdict anyway
+    theory = Theory(())
+    p, q = parse_process("out(a,m) | !out(a,m).out(a,m)"), parse_process("!out(a,m).out(a,m)")
+    bounds = ExplorationBounds(recipe_depth=0, static_depth=0, repl_unfold=0, game_depth=game_depth)
+    checker = _DepthProbe(Rel.BISIM_I, theory, bounds, build_signature(theory, p, q), default_consts(p, q))
+    assert checker.run(initial_config(p, q, bounds)) is None and checker.tainted
+    assert checker.deepest == game_depth
+    assert verdict_class(check(Rel.BISIM_I, p, q, bounds, Theory(()))) == RELATED_BOUNDED
 
 
 def test_game_depth_taint():
