@@ -23,7 +23,7 @@ a raw residual's ``_i`` binders could clash with names extruded from it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
 
@@ -232,32 +232,44 @@ def checked_bounds(values: dict, keys: dict[str, str]) -> dict:
 # --- structural transitions ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class POut:
-    chan: Message
-    payload: Message
-    loc: Location
-    binders: tuple[str, ...]
-    cont: Process
-    phantom: bool = False
+class Firing(Node):
+    """A structural firing.  The fields all firings share come first, so
+    that ``_refire`` replaces them and keeps a class's own fields."""
+
+    __slots__ = ()
+    loc = property(itemgetter(1))
+    binders = property(itemgetter(2))
+    cont = property(itemgetter(3))
+    phantom = property(itemgetter(4))
 
 
-@dataclass(frozen=True)
-class PIn:
-    chan: Message
-    binder: str
-    loc: Location
-    binders: tuple[str, ...]
-    cont: Process
-    phantom: bool = False
+class POut(Firing):
+    __slots__ = ()
+    chan = property(itemgetter(5))
+    payload = property(itemgetter(6))
+
+    def __new__(cls, chan: Message, payload: Message, loc: Location, binders, cont: Process, phantom=False):
+        return tuple.__new__(cls, ("POut", loc, binders, cont, phantom, chan, payload))
 
 
-@dataclass(frozen=True)
-class PTau:
-    loc: LocationLabel
-    binders: tuple[str, ...]
-    cont: Process
-    phantom: bool = False
+class PIn(Firing):
+    __slots__ = ()
+    chan = property(itemgetter(5))
+    binder = property(itemgetter(6))
+
+    def __new__(cls, chan: Message, binder: str, loc: Location, binders, cont: Process, phantom=False):
+        return tuple.__new__(cls, ("PIn", loc, binders, cont, phantom, chan, binder))
+
+
+class PTau(Firing):
+    __slots__ = ()
+
+    def __new__(cls, loc: LocationLabel, binders, cont: Process, phantom=False):
+        return tuple.__new__(cls, ("PTau", loc, binders, cont, phantom))
+
+
+def _refire(t: Firing, loc: LocationLabel, binders, cont: Process, phantom: bool) -> Firing:
+    return tuple.__new__(type(t), (t[0], loc, binders, cont, phantom, *t[5:]))
 
 
 def _push_loc(loc: LocationLabel, bit: str) -> LocationLabel:
@@ -266,14 +278,10 @@ def _push_loc(loc: LocationLabel, bit: str) -> LocationLabel:
     return PairLoc(_push_loc(loc.left, bit), _push_loc(loc.right, bit))
 
 
-def _push(t, bit: str, cont: Process):
-    return replace(t, loc=_push_loc(t.loc, bit), cont=cont)
-
-
-def _push_choice(t, bit: str):
+def _push_choice(t: Firing, bit: str) -> Firing:
     loc = t.loc
     assert isinstance(loc, Location) and loc.prefix == ""
-    return replace(t, loc=Location("", bit + loc.choice))
+    return _refire(t, Location("", bit + loc.choice), t.binders, t.cont, t.phantom)
 
 
 def _own_names(t) -> frozenset[str]:
@@ -301,8 +309,8 @@ def _freshen_binders(t, avoid: frozenset[str] | set[str]):
     if isinstance(t, POut):
         # channels never mention extruded binders (blocked at the binding
         # restriction), payloads may
-        return replace(t, binders=binders, cont=cont, payload=rename_vars(t.payload, ren))
-    return replace(t, binders=binders, cont=cont)
+        return POut(t.chan, rename_vars(t.payload, ren), t.loc, binders, cont, t.phantom)
+    return _refire(t, t.loc, binders, cont, t.phantom)
 
 
 def _close(o: POut, i: PIn) -> tuple[tuple[str, ...], Process]:
@@ -369,12 +377,7 @@ def _proc_transitions(p: Process, theory: Theory) -> tuple[tuple, bool]:
             # usable only by a game follower, and taint the result
             ts, _ = proc_transitions(p.body, theory)
             out = tuple(
-                replace(
-                    t,
-                    loc=_push_loc(t.loc, "0"),
-                    cont=Par(t.cont, Bang(p.body, 0)),
-                    phantom=True,
-                )
+                _refire(t, _push_loc(t.loc, "0"), t.binders, Par(t.cont, Bang(p.body, 0)), True)
                 for t in ts
             )
             return out, True
@@ -390,7 +393,7 @@ def _proc_transitions(p: Process, theory: Theory) -> tuple[tuple, bool]:
             if isinstance(t, (POut, PIn)) and z in free_vars(t.chan):
                 continue  # private-channel actions stay internal
             t = _freshen_binders(t, {z})
-            out.append(replace(t, binders=(z,) + t.binders))
+            out.append(_refire(t, t.loc, (z,) + t.binders, t.cont, t.phantom))
         return tuple(out), taint
     if isinstance(p, Par):
         lts, ltaint = proc_transitions(p.left, theory)
@@ -402,10 +405,10 @@ def _proc_transitions(p: Process, theory: Theory) -> tuple[tuple, bool]:
         out = []
         for t in lts:
             t = _freshen_binders(t, right_names)
-            out.append(_push(t, "0", Par(t.cont, p.right)))
+            out.append(_refire(t, _push_loc(t.loc, "0"), t.binders, Par(t.cont, p.right), t.phantom))
         for t in rts:
             t = _freshen_binders(t, left_names)
-            out.append(_push(t, "1", Par(p.left, t.cont)))
+            out.append(_refire(t, _push_loc(t.loc, "1"), t.binders, Par(p.left, t.cont), t.phantom))
         for o in lts:
             if not isinstance(o, POut):
                 continue

@@ -15,29 +15,31 @@ Processes are ``terms.Node`` values, as messages are: immutable trees,
 hashed and compared structurally, each stored as the tuple ``(class name,
 *fields)`` so that hashing and equality run in C.  Two classes with the
 same fields, such as ``Par`` and ``Sum`` or ``Match`` and ``Mismatch``,
-never compare equal.  No code may rely on a process's being a tuple.
+never compare equal.  Only the module defining a node class indexes its
+fields, through its layout; other code reads them by name.
 
 Every walk over the syntax (names, symbols, substitution, priming,
-canonical forms) goes through two methods that each process class
-defines.  ``p.parts()`` returns ``(msgs, binder, kids)``: the messages the
-node reads outside its binder, the name it binds in its children (or
-``None``), and its children in source order.  ``p.remake(msgs, binder,
-kids)`` builds a node of the same class from new parts and keeps what
-``parts`` leaves out, such as a replication's fuel.  Only ``Nil`` has no
-children.  Printing, whose concrete syntax differs per constructor, and the
-transition rules in ``lts`` keep their own per-constructor cases.
+canonical forms) is one loop over the ``layout`` that each process class
+declares: ``(msgs, binder, kids)``, the positions of the messages the node
+reads outside its binder, of the name it binds in its children (or
+``None``), and of its children in source order.  A walk copies a node's
+fields, replaces those the layout lists, and rebuilds the node with
+``tuple.__new__(cls, fields)``, so a field the layout leaves out, such as a
+replication's fuel, carries over.  Only ``Nil`` has no children.  Printing,
+whose concrete syntax differs per constructor, and the transition rules in
+``lts`` keep their own per-constructor cases.
 
 ``congruence_key`` numbers the top binders in order of first use, in the
 sorted frame and then in the body, in the same walk that renames them: its
-renaming names a top binder ``%i`` when a lookup first meets it unshadowed.
-That works because ``terms.rename_vars`` looks names up through ``get``
-only, and must keep doing so.
+message renaming (``terms.first_use_renaming``) names a top binder ``%i``
+when a lookup first meets it unshadowed.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import count
 from operator import itemgetter
 
 from .terms import (
@@ -48,6 +50,7 @@ from .terms import (
     Substitution,
     Symbol,
     Var,
+    first_use_renaming,
     free_vars,
     msg_symbols,
     rename_vars,
@@ -59,53 +62,38 @@ class ParseError(Exception):
 
 
 class Process(Node):
-    """A process node, walked through ``parts`` and ``remake`` (see the
-    module docstring)."""
+    """A process node, walked through its class's ``layout`` (see the module
+    docstring)."""
 
     __slots__ = ()
 
 
 class Nil(Process):
     __slots__ = ()
+    layout = ((), None, ())
 
     def __new__(cls):
         return tuple.__new__(cls, ("Nil",))
 
-    def parts(self):
-        return (), None, ()
-
-    def remake(self, msgs, binder, kids):
-        return self
-
 
 class New(Process):
     __slots__ = ()
+    layout = ((), 1, (2,))
     name = property(itemgetter(1))
     body = property(itemgetter(2))
 
     def __new__(cls, name: str, body: Process):
         return tuple.__new__(cls, ("New", name, body))
 
-    def parts(self):
-        return (), self.name, (self.body,)
-
-    def remake(self, msgs, binder, kids):
-        return New(binder, kids[0])
-
 
 class Par(Process):
     __slots__ = ()
+    layout = ((), None, (1, 2))
     left = property(itemgetter(1))
     right = property(itemgetter(2))
 
     def __new__(cls, left: Process, right: Process):
         return tuple.__new__(cls, ("Par", left, right))
-
-    def parts(self):
-        return (), None, (self.left, self.right)
-
-    def remake(self, msgs, binder, kids):
-        return Par(kids[0], kids[1])
 
 
 class Bang(Process):
@@ -113,17 +101,12 @@ class Bang(Process):
     exploration; ``None`` means the process has not been primed yet."""
 
     __slots__ = ()
+    layout = ((), None, (1,))
     body = property(itemgetter(1))
     fuel = property(itemgetter(2))
 
     def __new__(cls, body: Process, fuel: int | None = None):
         return tuple.__new__(cls, ("Bang", body, fuel))
-
-    def parts(self):
-        return (), None, (self.body,)
-
-    def remake(self, msgs, binder, kids):
-        return Bang(kids[0], self.fuel)
 
 
 class Guard(Process):
@@ -132,6 +115,7 @@ class Guard(Process):
 
 class In(Guard):
     __slots__ = ()
+    layout = ((1,), 2, (3,))
     chan = property(itemgetter(1))
     binder = property(itemgetter(2))
     body = property(itemgetter(3))
@@ -139,15 +123,10 @@ class In(Guard):
     def __new__(cls, chan: Message, binder: str, body: Process):
         return tuple.__new__(cls, ("In", chan, binder, body))
 
-    def parts(self):
-        return (self.chan,), self.binder, (self.body,)
-
-    def remake(self, msgs, binder, kids):
-        return In(msgs[0], binder, kids[0])
-
 
 class Out(Guard):
     __slots__ = ()
+    layout = ((1, 2), None, (3,))
     chan = property(itemgetter(1))
     payload = property(itemgetter(2))
     body = property(itemgetter(3))
@@ -155,15 +134,10 @@ class Out(Guard):
     def __new__(cls, chan: Message, payload: Message, body: Process):
         return tuple.__new__(cls, ("Out", chan, payload, body))
 
-    def parts(self):
-        return (self.chan, self.payload), None, (self.body,)
-
-    def remake(self, msgs, binder, kids):
-        return Out(msgs[0], msgs[1], kids[0])
-
 
 class Match(Guard):
     __slots__ = ()
+    layout = ((1, 2), None, (3,))
     lhs = property(itemgetter(1))
     rhs = property(itemgetter(2))
     body = property(itemgetter(3))
@@ -171,15 +145,10 @@ class Match(Guard):
     def __new__(cls, lhs: Message, rhs: Message, body: Guard):
         return tuple.__new__(cls, ("Match", lhs, rhs, body))
 
-    def parts(self):
-        return (self.lhs, self.rhs), None, (self.body,)
-
-    def remake(self, msgs, binder, kids):
-        return Match(msgs[0], msgs[1], kids[0])
-
 
 class Mismatch(Guard):
     __slots__ = ()
+    layout = ((1, 2), None, (3,))
     lhs = property(itemgetter(1))
     rhs = property(itemgetter(2))
     body = property(itemgetter(3))
@@ -187,37 +156,26 @@ class Mismatch(Guard):
     def __new__(cls, lhs: Message, rhs: Message, body: Guard):
         return tuple.__new__(cls, ("Mismatch", lhs, rhs, body))
 
-    def parts(self):
-        return (self.lhs, self.rhs), None, (self.body,)
-
-    def remake(self, msgs, binder, kids):
-        return Mismatch(msgs[0], msgs[1], kids[0])
-
 
 class Sum(Guard):
     __slots__ = ()
+    layout = ((), None, (1, 2))
     left = property(itemgetter(1))
     right = property(itemgetter(2))
 
     def __new__(cls, left: Guard, right: Guard):
         return tuple.__new__(cls, ("Sum", left, right))
 
-    def parts(self):
-        return (), None, (self.left, self.right)
-
-    def remake(self, msgs, binder, kids):
-        return Sum(kids[0], kids[1])
-
 
 def free_names(p: Process) -> frozenset[str]:
-    msgs, binder, kids = p.parts()
+    msgs, binder, kids = p.layout
     names: frozenset[str] = frozenset()
-    for k in kids:
-        names |= free_names(k)
+    for i in kids:
+        names |= free_names(p[i])
     if binder is not None:
-        names -= {binder}
-    for m in msgs:
-        names |= free_vars(m)
+        names -= {p[binder]}
+    for i in msgs:
+        names |= free_vars(p[i])
     return names
 
 
@@ -226,12 +184,13 @@ def all_names(p: Process) -> frozenset[str]:
     names: set[str] = set()
     todo = [p]
     for q in todo:  # the loop visits the kids it appends
-        msgs, binder, kids = q.parts()
-        for m in msgs:
-            names |= free_vars(m)
+        msgs, binder, kids = q.layout
+        for i in msgs:
+            names |= free_vars(q[i])
         if binder is not None:
-            names.add(binder)
-        todo += kids
+            names.add(q[binder])
+        for i in kids:
+            todo.append(q[i])
     return frozenset(names)
 
 
@@ -239,10 +198,11 @@ def symbols_of(p: Process) -> frozenset[Symbol]:
     syms: set[Symbol] = set()
     todo = [p]
     for q in todo:
-        msgs, _, kids = q.parts()
-        for m in msgs:
-            syms |= msg_symbols(m)
-        todo += kids
+        msgs, _, kids = q.layout
+        for i in msgs:
+            syms |= msg_symbols(q[i])
+        for i in kids:
+            todo.append(q[i])
     return frozenset(syms)
 
 
@@ -276,25 +236,33 @@ def subst_proc(p: Process, mapping: dict[str, Message]) -> Process:
 
 
 def _subst(p: Process, mapping, range_fv, supply) -> Process:
-    msgs, binder, kids = p.parts()
+    msgs, binder, kids = p.layout
     if not kids:
         return p
-    if msgs:
-        msgs = [rename_vars(m, mapping) for m in msgs]
+    fields = list(p)
+    for i in msgs:
+        fields[i] = rename_vars(fields[i], mapping)
     if binder is not None:
-        mapping = {k: v for k, v in mapping.items() if k != binder}
-        if not mapping:
-            return p.remake(msgs, binder, kids)
-        if binder in range_fv:
-            old, binder = binder, next(supply)
-            mapping[old] = Var(binder)
-    return p.remake(msgs, binder, [_subst(k, mapping, range_fv, supply) for k in kids])
+        x = fields[binder]
+        if x in mapping:
+            mapping = {k: v for k, v in mapping.items() if k != x}
+            if not mapping:
+                return tuple.__new__(type(p), fields)
+        if x in range_fv:
+            fields[binder] = y = next(supply)
+            mapping = {**mapping, x: Var(y)}
+    for i in kids:
+        fields[i] = _subst(fields[i], mapping, range_fv, supply)
+    return tuple.__new__(type(p), fields)
 
 
 def prime_bangs(p: Process, fuel: int) -> Process:
     """Attach an unfolding budget to every replication."""
-    msgs, binder, kids = p.parts()
-    q = p.remake(msgs, binder, [prime_bangs(k, fuel) for k in kids])
+    _, _, kids = p.layout
+    fields = list(p)
+    for i in kids:
+        fields[i] = prime_bangs(fields[i], fuel)
+    q = tuple.__new__(type(p), fields)
     return Bang(q.body, fuel) if isinstance(q, Bang) else q
 
 
@@ -571,63 +539,61 @@ def from_process(p: Process) -> ExtendedProcess:
 
 _UNNAMED = Var("%")  # a top binder not yet met; no name is spelled ``%``
 
-
-class _FirstUse(dict):
-    """The renaming of ``congruence_key``: bound names map to their
-    canonical variables, and a top binder, mapped to ``_UNNAMED`` until
-    then, is named ``%i`` by the first lookup that meets it unshadowed."""
-
-    def __init__(self, binders):
-        super().__init__(dict.fromkeys(binders, _UNNAMED))
-        self.named = 0
-
-    def get(self, name, default=None):
-        v = dict.get(self, name, default)
-        if v is _UNNAMED:
-            v = self[name] = Var(f"%{self.named}")
-            self.named += 1
-        return v
+# ``Var("%i")`` at index ``i``, the canonical binders, built once each
+_CANON_VARS: list[Var] = []
 
 
-def _canon_body(p: Process, env: dict[str, Message], counter: list) -> Process:
-    msgs, binder, kids = p.parts()
-    if not kids:
-        return p
-    if msgs:
-        msgs = [rename_vars(m, env) for m in msgs]
-    if binder is None:
-        return p.remake(msgs, None, [_canon_body(k, env, counter) for k in kids])
-    # bind in place and restore: a top binder that ``env`` names in here
-    # must stay named out there
-    outer = env.pop(binder, None)
-    name = f"%{counter[0]}"
-    counter[0] += 1
-    env[binder] = Var(name)
-    q = p.remake(msgs, name, [_canon_body(k, env, counter) for k in kids])
-    if outer is None:
-        del env[binder]
-    else:
-        env[binder] = outer
-    return q
+def _canon_var(i: int) -> Var:
+    while len(_CANON_VARS) <= i:
+        _CANON_VARS.append(Var(f"%{len(_CANON_VARS)}"))
+    return _CANON_VARS[i]
 
 
-def _canonical(A: ExtendedProcess, env: dict[str, Message], top: int) -> ExtendedProcess:
-    frame = Substitution({a: rename_vars(m, env) for a, m in A.frame.items()})
-    body = _canon_body(A.body, env, [top])
-    return ExtendedProcess(tuple(f"%{i}" for i in range(top)), frame, body)
+def _canonical(A: ExtendedProcess, env: dict[str, Var], top: int) -> ExtendedProcess:
+    """``A`` renamed by ``env`` under ``top`` top binders ``%0, %1, ...``; a
+    top binder that ``env`` maps to ``_UNNAMED`` is named by the first lookup
+    that meets it, and the body's binders are numbered on from ``top``."""
+    msg = first_use_renaming(env, _UNNAMED, map(_canon_var, count()).__next__)
+    bound = map(_canon_var, count(top))
+
+    def body(p: Process) -> Process:
+        msgs, binder, kids = p.layout
+        if not kids:
+            return p
+        fields = list(p)
+        for i in msgs:
+            fields[i] = msg(fields[i])
+        if binder is not None:
+            # bind in place and restore: a top binder that ``msg`` names in
+            # here must stay named out there
+            x = fields[binder]
+            outer = env.get(x)
+            v = env[x] = next(bound)
+            fields[binder] = v.name
+        for i in kids:
+            fields[i] = body(fields[i])
+        if binder is not None:
+            if outer is None:
+                del env[x]
+            else:
+                env[x] = outer
+        return tuple.__new__(type(p), fields)
+
+    frame = Substitution({a: msg(m) for a, m in A.frame.items()})
+    return ExtendedProcess(tuple([_canon_var(i).name for i in range(top)]), frame, body(A.body))
 
 
 def alpha_canonical(A: ExtendedProcess) -> ExtendedProcess:
     """Canonical representative of the alpha-equivalence class; the order of
     top-level binders is preserved."""
-    env = {old: Var(f"%{i}") for i, old in enumerate(A.binders)}
+    env = {old: _canon_var(i) for i, old in enumerate(A.binders)}
     return _canonical(A, env, len(A.binders))
 
 
 def congruence_key(A: ExtendedProcess) -> ExtendedProcess:
     """Canonical representative up to structural congruence: alpha-renaming,
     frame reordering, and reordering of top-level restrictions."""
-    env = _FirstUse(A.binders)
+    env = dict.fromkeys(A.binders, _UNNAMED)
     return _canonical(A, env, len(env))
 
 

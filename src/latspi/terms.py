@@ -13,8 +13,11 @@ structurally.  A node is stored as the tuple ``(class name, *fields)``, so
 that hashing, equality and construction run in the interpreter's C tuple
 code; every layer keys its tables on such trees.  The leading class name
 keeps nodes of two classes with the same fields apart, and being a string
-it hashes as the fields do, by ``PYTHONHASHSEED`` alone.  Fields are read
-by name; no code outside a node's class may rely on its being a tuple.
+it hashes as the fields do, by ``PYTHONHASHSEED`` alone.  Only the module
+defining a node class indexes its fields: here ``rename_vars`` and
+``first_use_renaming`` dispatch on a message's tag and read its fields by
+position, and ``syntax`` walks processes through their classes' layouts.
+Other code reads fields by name.
 """
 
 from __future__ import annotations
@@ -39,8 +42,9 @@ class TheoryError(Exception):
 
 class Node(tuple):
     """An immutable tree node, stored as the tuple ``(class name, *fields)``
-    (see the module docstring).  Each subclass reads its fields through
-    ``property(itemgetter(i))`` and packs them in its own ``__new__``."""
+    (see the module docstring).  Each subclass names its fields through
+    ``property(itemgetter(i))`` and packs them in its own ``__new__``; only
+    its own module indexes them."""
 
     __slots__ = ()
 
@@ -154,15 +158,34 @@ def msg_key(m: Message):
 
 
 def rename_vars(m: Message, mapping: Mapping[str, Message]) -> Message:
-    """Replace free variables by messages (variables are never binders here).
+    """Replace free variables by messages (variables are never binders here)."""
+    tag = m[0]
+    if tag == "Var":
+        return mapping.get(m[1], m)
+    if tag == "App":
+        # the arguments are as many as before, so ``App``'s check is skipped
+        return tuple.__new__(App, ("App", m[1], tuple([rename_vars(a, mapping) for a in m[2]])))
+    return m
 
-    Names are looked up through ``mapping.get`` only: the renaming of
-    ``syntax.congruence_key`` names top binders as lookups first meet them."""
-    if isinstance(m, Var):
-        return mapping.get(m.name, m)
-    if isinstance(m, Alias):
+
+def first_use_renaming(env: dict[str, Message], unnamed: Message, name):
+    """A function renaming a message's variables by ``env``, as
+    ``rename_vars`` does, where a variable that ``env`` maps to ``unnamed``
+    is mapped to ``name()`` by the first lookup that meets it, and to that
+    message from then on."""
+
+    def rename(m: Message) -> Message:
+        tag = m[0]
+        if tag == "Var":
+            v = env.get(m[1], m)
+            if v is unnamed:
+                v = env[m[1]] = name()
+            return v
+        if tag == "App":
+            return tuple.__new__(App, ("App", m[1], tuple([rename(a) for a in m[2]])))
         return m
-    return App(m.fn, tuple(rename_vars(a, mapping) for a in m.args))
+
+    return rename
 
 
 @dataclass(frozen=True)

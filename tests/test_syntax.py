@@ -17,6 +17,7 @@ from latspi.syntax import (
     Out,
     Par,
     ParseError,
+    Process,
     Sum,
     alpha_canonical,
     congruence_key,
@@ -234,12 +235,32 @@ _primed = st.tuples(_procs(), st.sampled_from([None, 1, 2])).map(
 )
 
 
+# each process class's fields, by name
+_FIELDS = {
+    Nil: (),
+    New: ("name", "body"),
+    Par: ("left", "right"),
+    Bang: ("body", "fuel"),
+    In: ("chan", "binder", "body"),
+    Out: ("chan", "payload", "body"),
+    Match: ("lhs", "rhs", "body"),
+    Mismatch: ("lhs", "rhs", "body"),
+    Sum: ("left", "right"),
+}
+
+
 def _ref_key(p):
-    """The class name and fields of a process, read through ``parts`` and
-    ``msg_key``: a reference for the nodes' own equality."""
-    msgs, binder, kids = p.parts()
-    fuel = p.fuel if isinstance(p, Bang) else None
-    return (type(p).__name__, [msg_key(m) for m in msgs], binder, fuel, [_ref_key(k) for k in kids])
+    """The class name and fields of a process, read by name, with messages
+    keyed by ``msg_key``: a reference for the nodes' own equality."""
+
+    def key(v):
+        if isinstance(v, Process):
+            return _ref_key(v)
+        if isinstance(v, (Var, Alias, App)):
+            return msg_key(v)
+        return v
+
+    return (type(p).__name__, [key(getattr(p, f)) for f in _FIELDS[type(p)]])
 
 
 @given(_messages, _messages)

@@ -1,16 +1,18 @@
-"""Canonical forms and substitution against a reference implementation.
+"""Syntax walks against reference implementations.
 
-The reference functions below are the per-constructor recursions that
-``latspi.syntax`` used before its walks went through ``parts``/``remake``:
-a separate first-use scan orders the top binders for ``congruence_key``,
-and ``subst_proc`` collects every name of the process up front.  The
-library must return equal results on every process.
+The reference functions below are per-constructor recursions: those that
+``latspi.syntax`` used before its walks went through each class's layout,
+with a separate first-use scan ordering the top binders for
+``congruence_key`` and ``subst_proc`` collecting every name of the process
+up front, and direct recursions for ``free_names``, ``symbols_of`` and
+``prime_bangs``.  The library must return equal results on every process.
 """
 
 from hypothesis import example, given, settings, strategies as st
 
 from latspi.syntax import (
     Bang,
+    Guard,
     ExtendedProcess,
     In,
     Match,
@@ -19,17 +21,21 @@ from latspi.syntax import (
     Nil,
     Out,
     Par,
+    Process,
     Sum,
     all_names,
     alpha_canonical,
     congruence_key,
+    free_names,
     fresh_supply,
     parse_process,
+    prime_bangs,
     subst_proc,
+    symbols_of,
 )
-from latspi.terms import Alias, App, Message, Substitution, Var, free_vars, rename_vars
+from latspi.terms import Alias, App, Message, Substitution, Var, free_vars, msg_symbols, rename_vars
 
-from test_syntax import _msgs, _names, _procs
+from test_syntax import _messages, _msgs, _names, _primed, _procs
 
 
 # --- reference -------------------------------------------------------------
@@ -52,6 +58,60 @@ def ref_all_names(p):
         return free_vars(p.lhs) | free_vars(p.rhs) | ref_all_names(p.body)
     if isinstance(p, Sum):
         return ref_all_names(p.left) | ref_all_names(p.right)
+    raise TypeError(p)
+
+
+def ref_free_names(p):
+    if isinstance(p, Nil):
+        return frozenset()
+    if isinstance(p, New):
+        return ref_free_names(p.body) - {p.name}
+    if isinstance(p, (Par, Sum)):
+        return ref_free_names(p.left) | ref_free_names(p.right)
+    if isinstance(p, Bang):
+        return ref_free_names(p.body)
+    if isinstance(p, In):
+        return free_vars(p.chan) | (ref_free_names(p.body) - {p.binder})
+    if isinstance(p, Out):
+        return free_vars(p.chan) | free_vars(p.payload) | ref_free_names(p.body)
+    if isinstance(p, (Match, Mismatch)):
+        return free_vars(p.lhs) | free_vars(p.rhs) | ref_free_names(p.body)
+    raise TypeError(p)
+
+
+def ref_symbols_of(p):
+    if isinstance(p, Nil):
+        return frozenset()
+    if isinstance(p, (New, Bang)):
+        return ref_symbols_of(p.body)
+    if isinstance(p, (Par, Sum)):
+        return ref_symbols_of(p.left) | ref_symbols_of(p.right)
+    if isinstance(p, In):
+        return msg_symbols(p.chan) | ref_symbols_of(p.body)
+    if isinstance(p, Out):
+        return msg_symbols(p.chan) | msg_symbols(p.payload) | ref_symbols_of(p.body)
+    if isinstance(p, (Match, Mismatch)):
+        return msg_symbols(p.lhs) | msg_symbols(p.rhs) | ref_symbols_of(p.body)
+    raise TypeError(p)
+
+
+def ref_prime_bangs(p, fuel):
+    if isinstance(p, Nil):
+        return p
+    if isinstance(p, New):
+        return New(p.name, ref_prime_bangs(p.body, fuel))
+    if isinstance(p, Par):
+        return Par(ref_prime_bangs(p.left, fuel), ref_prime_bangs(p.right, fuel))
+    if isinstance(p, Sum):
+        return Sum(ref_prime_bangs(p.left, fuel), ref_prime_bangs(p.right, fuel))
+    if isinstance(p, Bang):
+        return Bang(ref_prime_bangs(p.body, fuel), fuel)
+    if isinstance(p, In):
+        return In(p.chan, p.binder, ref_prime_bangs(p.body, fuel))
+    if isinstance(p, Out):
+        return Out(p.chan, p.payload, ref_prime_bangs(p.body, fuel))
+    if isinstance(p, (Match, Mismatch)):
+        return type(p)(p.lhs, p.rhs, ref_prime_bangs(p.body, fuel))
     raise TypeError(p)
 
 
@@ -235,3 +295,72 @@ def test_subst_proc_agrees_with_the_reference(p, mapping, to_fresh):
     p = ref_subst_proc(p, to_fresh)
     assert all_names(p) == ref_all_names(p)
     assert subst_proc(p, mapping) == ref_subst_proc(p, mapping)
+
+
+# messages with binary symbols and aliases, which ``_procs`` does not draw
+_payloads = st.dictionaries(_names, _messages, max_size=2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_primed, _payloads, st.sampled_from([0, 1, 3]))
+@example(parse_process("new x.in(a, y).[x = h(y)] out(b, pair(x, z))"), {}, 2)
+@example(parse_process("!(in(a, x).!out(x, a)) | new a.out(a, b)"), {}, 1)
+def test_name_symbol_and_priming_walks_agree_with_the_reference(p, payloads, fuel):
+    p = subst_proc(p, payloads)
+    assert free_names(p) == ref_free_names(p)
+    assert symbols_of(p) == ref_symbols_of(p)
+    primed = prime_bangs(p, fuel)
+    assert primed == ref_prime_bangs(p, fuel)
+    assert prime_bangs(primed, fuel) == primed
+
+
+def test_seventy_nested_binders_are_numbered_past_any_table():
+    # 70 top binders and 70 nested restrictions name binders up to ``%139``
+    names = [f"x{i}" for i in range(70)]
+    uses = " | ".join(f"out(a, {x})" for x in reversed(names))
+    p = parse_process(f"new {','.join(names)}.({uses})")
+    A = ExtendedProcess(tuple(names), Substitution({Alias("0", "l"): Var("x5")}), p)
+    key, alpha = congruence_key(A), alpha_canonical(A)
+    assert key == _canonical(A, order_by_use=True)
+    assert alpha == _canonical(A, order_by_use=False)
+    assert key.binders == alpha.binders == tuple(f"%{i}" for i in range(70))
+    assert "new %70," in str(key) and "%139.(" in str(key)
+    # the top binder ``x5`` is met first, in the frame, and named ``%0``
+    assert str(key.frame) == "{0l -> %0}" and str(alpha.frame) == "{0l -> %5}"
+    assert subst_proc(p, {"a": Var("x3")}) == ref_subst_proc(p, {"a": Var("x3")})
+
+
+def _leaf_classes(cls):
+    subs = cls.__subclasses__()
+    return {cls} if not subs else set().union(*map(_leaf_classes, subs))
+
+
+def test_every_process_class_has_a_layout_covering_its_fields():
+    x, y = Var("x"), Var("y")
+    guard = Out(x, y, Nil())
+    samples = [
+        Nil(),
+        New("n", guard),
+        Par(guard, Nil()),
+        Bang(guard, 2),
+        In(x, "n", guard),
+        guard,
+        Match(x, y, guard),
+        Mismatch(x, y, guard),
+        Sum(guard, guard),
+    ]
+    assert {type(p) for p in samples} == _leaf_classes(Process)
+    for p in samples:
+        cls = type(p)
+        assert "layout" in vars(cls), cls
+        msgs, binder, kids = cls.layout
+        listed = [*msgs, *kids, *([] if binder is None else [binder])]
+        assert len(set(listed)) == len(listed) and all(0 < i < len(p) for i in listed), cls
+        # every field holding a message, a process or a bound name is
+        # listed in its place; the others, such as a replication's fuel,
+        # carry over unlisted
+        for i in range(1, len(p)):
+            assert (i in msgs) == isinstance(p[i], (Var, Alias, App)), (cls, i)
+            assert (i in kids) == isinstance(p[i], Process), (cls, i)
+            assert (i == binder) == isinstance(p[i], str), (cls, i)
+    assert "layout" not in vars(Guard) and "layout" not in vars(Process)
