@@ -539,14 +539,12 @@ def from_process(p: Process) -> ExtendedProcess:
 
 _UNNAMED = Var("%")  # a top binder not yet met; no name is spelled ``%``
 
-# ``Var("%i")`` at index ``i``, the canonical binders, built once each
-_CANON_VARS: list[Var] = []
+# ``Var("%i")`` for the first canonical binders, built once
+_CANON_VARS = tuple(Var(f"%{i}") for i in range(64))
 
 
 def _canon_var(i: int) -> Var:
-    while len(_CANON_VARS) <= i:
-        _CANON_VARS.append(Var(f"%{len(_CANON_VARS)}"))
-    return _CANON_VARS[i]
+    return _CANON_VARS[i] if i < len(_CANON_VARS) else Var(f"%{i}")
 
 
 def _canonical(A: ExtendedProcess, env: dict[str, Var], top: int) -> ExtendedProcess:
