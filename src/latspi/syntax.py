@@ -31,7 +31,7 @@ whose concrete syntax differs per constructor, and the transition rules in
 
 ``congruence_key`` numbers the top binders in order of first use, in the
 sorted frame and then in the body, in the same walk that renames them: its
-message renaming (``terms.first_use_renaming``) names a top binder ``%i``
+message renaming (``terms.rename_first_use``) names a top binder ``%i``
 when a lookup first meets it unshadowed.
 """
 
@@ -50,9 +50,9 @@ from .terms import (
     Substitution,
     Symbol,
     Var,
-    first_use_renaming,
     free_vars,
     msg_symbols,
+    rename_first_use,
     rename_vars,
 )
 
@@ -537,8 +537,6 @@ def from_process(p: Process) -> ExtendedProcess:
     return ExtendedProcess((), ID, p)
 
 
-_UNNAMED = Var("%")  # a top binder not yet met; no name is spelled ``%``
-
 # ``Var("%i")`` for the first canonical binders, built once
 _CANON_VARS = tuple(Var(f"%{i}") for i in range(64))
 
@@ -547,38 +545,41 @@ def _canon_var(i: int) -> Var:
     return _CANON_VARS[i] if i < len(_CANON_VARS) else Var(f"%{i}")
 
 
-def _canonical(A: ExtendedProcess, env: dict[str, Var], top: int) -> ExtendedProcess:
+def _canon_body(p: Process, env: dict[str, Var | None], name, bound) -> Process:
+    """``p`` renamed as ``_canonical`` renames a body: ``name()`` names a top
+    binder, and ``next(bound)`` numbers a binder of the body."""
+    msgs, binder, kids = p.layout
+    if not kids:
+        return p
+    fields = list(p)
+    for i in msgs:
+        fields[i] = rename_first_use(fields[i], env, name)
+    if binder is not None:
+        # bind in place and restore: a top binder that is named in here
+        # must stay named out there
+        x = fields[binder]
+        outside = x in env
+        outer = env.get(x)
+        v = env[x] = next(bound)
+        fields[binder] = v.name
+    for i in kids:
+        fields[i] = _canon_body(fields[i], env, name, bound)
+    if binder is not None:
+        if outside:
+            env[x] = outer
+        else:
+            del env[x]
+    return tuple.__new__(type(p), fields)
+
+
+def _canonical(A: ExtendedProcess, env: dict[str, Var | None], top: int) -> ExtendedProcess:
     """``A`` renamed by ``env`` under ``top`` top binders ``%0, %1, ...``; a
-    top binder that ``env`` maps to ``_UNNAMED`` is named by the first lookup
+    top binder that ``env`` maps to ``None`` is named by the first lookup
     that meets it, and the body's binders are numbered on from ``top``."""
-    msg = first_use_renaming(env, _UNNAMED, map(_canon_var, count()).__next__)
-    bound = map(_canon_var, count(top))
-
-    def body(p: Process) -> Process:
-        msgs, binder, kids = p.layout
-        if not kids:
-            return p
-        fields = list(p)
-        for i in msgs:
-            fields[i] = msg(fields[i])
-        if binder is not None:
-            # bind in place and restore: a top binder that ``msg`` names in
-            # here must stay named out there
-            x = fields[binder]
-            outer = env.get(x)
-            v = env[x] = next(bound)
-            fields[binder] = v.name
-        for i in kids:
-            fields[i] = body(fields[i])
-        if binder is not None:
-            if outer is None:
-                del env[x]
-            else:
-                env[x] = outer
-        return tuple.__new__(type(p), fields)
-
-    frame = Substitution({a: msg(m) for a, m in A.frame.items()})
-    return ExtendedProcess(tuple([_canon_var(i).name for i in range(top)]), frame, body(A.body))
+    name = map(_canon_var, count()).__next__
+    frame = Substitution({a: rename_first_use(m, env, name) for a, m in A.frame.items()})
+    body = _canon_body(A.body, env, name, map(_canon_var, count(top)))
+    return ExtendedProcess(tuple([_canon_var(i).name for i in range(top)]), frame, body)
 
 
 def alpha_canonical(A: ExtendedProcess) -> ExtendedProcess:
@@ -591,7 +592,7 @@ def alpha_canonical(A: ExtendedProcess) -> ExtendedProcess:
 def congruence_key(A: ExtendedProcess) -> ExtendedProcess:
     """Canonical representative up to structural congruence: alpha-renaming,
     frame reordering, and reordering of top-level restrictions."""
-    env = dict.fromkeys(A.binders, _UNNAMED)
+    env = dict.fromkeys(A.binders)
     return _canonical(A, env, len(env))
 
 

@@ -15,7 +15,7 @@ code; every layer keys its tables on such trees.  The leading class name
 keeps nodes of two classes with the same fields apart, and being a string
 it hashes as the fields do, by ``PYTHONHASHSEED`` alone.  Only the module
 defining a node class indexes its fields: here ``rename_vars`` and
-``first_use_renaming`` dispatch on a message's tag and read its fields by
+``rename_first_use`` dispatch on a message's tag and read its fields by
 position, and ``syntax`` walks processes through their classes' layouts.
 Other code reads fields by name.
 """
@@ -168,24 +168,19 @@ def rename_vars(m: Message, mapping: Mapping[str, Message]) -> Message:
     return m
 
 
-def first_use_renaming(env: dict[str, Message], unnamed: Message, name):
-    """A function renaming a message's variables by ``env``, as
-    ``rename_vars`` does, where a variable that ``env`` maps to ``unnamed``
-    is mapped to ``name()`` by the first lookup that meets it, and to that
-    message from then on."""
-
-    def rename(m: Message) -> Message:
-        tag = m[0]
-        if tag == "Var":
-            v = env.get(m[1], m)
-            if v is unnamed:
-                v = env[m[1]] = name()
-            return v
-        if tag == "App":
-            return tuple.__new__(App, ("App", m[1], tuple([rename(a) for a in m[2]])))
-        return m
-
-    return rename
+def rename_first_use(m: Message, env: dict[str, Message | None], name) -> Message:
+    """``rename_vars`` by ``env``, where a variable that ``env`` maps to
+    ``None`` is mapped to ``name()`` by the first lookup that meets it, and
+    to that message from then on."""
+    tag = m[0]
+    if tag == "Var":
+        v = env.get(m[1], m)
+        if v is None:
+            v = env[m[1]] = name()
+        return v
+    if tag == "App":
+        return tuple.__new__(App, ("App", m[1], tuple([rename_first_use(a, env, name) for a in m[2]])))
+    return m
 
 
 @dataclass(frozen=True)
