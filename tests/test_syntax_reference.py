@@ -12,8 +12,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from latspi.syntax import (
     Bang,
-    Guard,
     ExtendedProcess,
+    Guard,
     In,
     Match,
     Mismatch,
