@@ -26,14 +26,13 @@ leader side's bit for every pair and keeps the independent ones; ``iloc`` and
 ``ifull`` demand the bit for every pair and keep them all; the interleaving
 relations demand and keep nothing.  The failure round applies the same rule
 to the right side's move.  A memoized AND-OR search explores the game tree,
-cut at ``game_depth`` rounds; a cut taints the verdict.  The tree is finite
-without phantom answers, as every transition consumes a prefix or a
-replication budget.  A phantom answer (a firing beyond a spent budget) keeps
-``Bang(body, 0)`` and adds a live continuation that the other side may lead
-from, so only the cut ends the search; phantom steps taint the verdict too.
-Configurations are memoized on the ids of the congruence classes of their
-two states, which the theory interns (``lts.state_class``), so each
-distinct state is canonicalised once however many checks share the theory.
+cut at ``game_depth`` rounds; a cut taints the verdict.  A phantom answer (a
+firing beyond a spent budget) keeps ``Bang(body, 0)`` and adds a live
+continuation that the other side may lead from, so only the cut ends such a
+search; phantom steps taint the verdict too.  Configurations are memoized
+on the ids of the congruence classes of their two states, which the theory
+interns (``lts.state_class``), so each distinct state is canonicalised once
+however many checks share the theory.
 Successor configurations hold the raw residuals of the moves that reach
 them; a configuration is decided, and replayed, on the representatives of
 its two classes, so a successor is canonicalised only when the search
@@ -61,6 +60,43 @@ that maximal retention admits, and reaches ``Q`` plus the answer's pair,
 within the maximal successor's pair set; by induction on ``k`` and the
 lemma, a leader who may choose subsets wins within ``k`` rounds exactly
 where maximal retention does, so the rule is the whole of ST.
+
+The game graph is acyclic: no configuration recurs on a search path, so the
+search keeps no record of the configurations it has open.  Measure a
+process by two counts: ``A``, its ``Par`` nodes at active positions, meaning
+under no prefix, guard or bang (only ``Par`` and ``New`` nodes above them),
+and ``G``, its nodes under no bang.  A state's measure is its body's.
+``congruence_key`` only renames binders and reorders the frame, so a class
+representative has the measure of every state in its class.  Every firing
+of ``lts._proc_transitions`` raises ``(A, -G)`` strictly, in lexicographic
+order, by induction on its cases:
+
+- an input or output prefix fires as its body.  A guard has no active
+  ``Par``, so ``A`` does not fall, and ``G`` loses the prefix;
+- a test or a choice fires as its body or a branch fires, and loses its own
+  node (and the other branch).  It has no active ``Par`` either;
+- a restriction fires as its body fires and moves its name to the binders.
+  Its active ``Par`` nodes are its body's, and its own node goes;
+- a replication with budget left fires as ``P | !P`` fires, which has one
+  more active ``Par``.  A spent one fires a phantom, whose continuation
+  ``P' | !P`` adds an active ``Par`` too;
+- a ``Par`` fires one side, or both in a synchronisation, and keeps its own
+  node.  The measure adds up over the two sides, and substituting a payload
+  or renaming a binder leaves every node in place.
+
+So unfolding a bang and firing a phantom raise ``A``; every other firing
+consumes a guard outside all bangs and adds no node there, so it does not
+lower ``A`` and it lowers ``G``.  A step of ``enabled_transitions`` has the
+continuation of one firing as its residual body.  In every round both sides
+move, each from its class representative: ``Checker.rule`` only filters the
+answers, and ``legal_replies`` pairs the residuals of the two moves.  So
+each side's measure rises along a play, and a configuration, keyed on the
+classes of its two states, never recurs on a search path.  The failure
+round recurses nowhere.  Corollary: without phantom answers the tree is finite.
+Between two unfoldings ``G`` falls at every step.  An unfolding of ``!P``
+spends budget that no step restores, and each replication it copies out of
+``P`` nests fewer replications than ``!P``, so by induction on that nesting
+a play unfolds finitely often.
 """
 
 from __future__ import annotations
@@ -202,7 +238,6 @@ class Checker:
         else:
             self.indep_table, self.indep_test = theory.indep, indep_event
         self.memo: dict = {}
-        self.stack: set = set()
         self.tainted = False
 
     # -- primitives --
@@ -312,30 +347,23 @@ class Checker:
     # -- search --
 
     def memo_key(self, cfg: GameConfig) -> tuple:
-        """The configuration's key in ``memo`` and ``stack``: the ids of its
-        two states' classes, its alias map's key and its remembered pairs."""
+        """The configuration's key in ``memo``: the ids of its two states'
+        classes, its alias map's key and its remembered pairs."""
         left, right = state_class(cfg.left, self.theory), state_class(cfg.right, self.theory)
         return (left, right, cfg.rho.key(), cfg.pairs)
 
     def run(self, cfg: GameConfig, depth: int = 0):
         """Refutation of the configuration, or ``None`` when related within
-        bounds.  The configuration is decided on its class representatives."""
+        bounds.  The configuration is decided on its class representatives;
+        it never recurs below itself (see the module docstring)."""
         key = self.memo_key(cfg)
         if key in self.memo:
             return self.memo[key]
-        if key in self.stack:
-            # related only under the open assumption of an enclosing search
-            self.tainted = True
-            return None
         if depth >= self.bounds.game_depth:
             self.tainted = True
             return None
-        self.stack.add(key)
         reps = self.theory.reps
-        try:
-            node = self._decide(GameConfig(reps[key[0]], reps[key[1]], cfg.rho, cfg.pairs), depth)
-        finally:
-            self.stack.discard(key)
+        node = self._decide(GameConfig(reps[key[0]], reps[key[1]], cfg.rho, cfg.pairs), depth)
         self.memo[key] = node
         return node
 

@@ -217,19 +217,6 @@ def test_corpus_witnesses_match_the_golden_file(corpus_runs):
     assert corpus_witnesses(corpus_runs) == GOLDEN_WITNESSES.read_bytes().decode()
 
 
-def test_stack_hit_taints():
-    # a configuration met again on the search stack is related only under
-    # the open assumption of the enclosing search, so the verdict is tainted
-    theory = Theory(())
-    p, q = parse_process("out(a, a)"), parse_process("0")
-    cfg = initial_config(p, q, B)
-    checker = Checker(Rel.SIM_I, theory, B, build_signature(theory, p, q), default_consts(p, q))
-    checker.stack.add(checker.memo_key(cfg))
-    assert checker.run(cfg) is None and checker.tainted
-    fresh = Checker(Rel.SIM_I, theory, B, checker.signature, checker.consts)
-    assert fresh.run(cfg) is not None  # the configuration is refutable
-
-
 class _DepthProbe(Checker):
     """A checker that records the deepest game round its search enters."""
 

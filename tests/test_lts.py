@@ -1,5 +1,7 @@
 """Located transitions, frames, reachability, and the diamond property."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -11,9 +13,19 @@ from latspi.lts import (
     diamond_check,
     enabled_transitions,
     reachable_lts,
+    representative,
 )
 from latspi.syntax import (
+    Bang,
     ExtendedProcess,
+    In,
+    Match,
+    Mismatch,
+    New,
+    Nil,
+    Out,
+    Par,
+    Sum,
     alpha_canonical,
     congruence_key,
     from_process,
@@ -22,6 +34,7 @@ from latspi.syntax import (
     struct_congruent,
 )
 from latspi.terms import ID, Theory, dolev_yao
+from test_lts_systems import corpus_systems
 from test_syntax import _names, _procs
 
 B1 = ExplorationBounds(recipe_depth=1, static_depth=1, repl_unfold=2, game_depth=12)
@@ -233,3 +246,68 @@ def test_class_representatives_have_the_same_transitions(binders, p):
             assert congruence_key(s.residual) == congruence_key(r.residual)
             assert s.target == alpha_canonical(s.residual)
             assert r.target == alpha_canonical(r.residual)
+
+
+# --- the game graph is acyclic ----------------------------------------------
+
+
+def _measure(state: ExtendedProcess) -> tuple[int, int]:
+    """``(A, -G)`` of the ``games`` docstring: ``A`` counts the ``Par`` nodes
+    under no prefix, guard or bang, ``G`` the process nodes under no bang."""
+    active = outside = 0
+    todo = [(state.body, True)]
+    for p, is_active in todo:  # the loop visits the children it appends
+        outside += 1
+        if isinstance(p, Par):
+            active += is_active
+            todo += [(p.left, is_active), (p.right, is_active)]
+        elif isinstance(p, New):
+            todo.append((p.body, is_active))
+        elif isinstance(p, Sum):
+            todo += [(p.left, False), (p.right, False)]
+        elif isinstance(p, (In, Out, Match, Mismatch)):
+            todo.append((p.body, False))
+        else:
+            assert isinstance(p, (Bang, Nil))  # a bang's body is not counted
+    return active, -outside
+
+
+def _successors_raise_the_measure(state, bounds, theory, signature, consts) -> list:
+    """The representatives that the steps of ``state``, phantom ones
+    included, reach, each asserted to measure more than ``state``."""
+    reps = []
+    for s in enabled_transitions(state, bounds, theory, signature, consts).steps:
+        rep = representative(s.residual, theory)
+        assert _measure(rep) > _measure(state), (str(state), str(s.event), s.phantom)
+        assert _measure(rep) == _measure(s.residual)
+        reps.append(rep)
+    return reps
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_procs(), st.sampled_from([0, 1, 2]))
+@example(parse_process("out(a, m) | !out(a, m).out(a, m)"), 0)
+def _drawn_plays_raise_the_measure(p, unfold):
+    # two rounds of steps from a drawn process, phantom steps included
+    theory, bounds = Theory(()), replace(B1, repl_unfold=unfold)
+    p = prime_bangs(p, unfold)
+    args = (bounds, theory, build_signature(theory, p), default_consts(p))
+    states = [alpha_canonical(from_process(p))]
+    for _ in range(2):
+        states = [r for state in states for r in _successors_raise_the_measure(state, *args)]
+
+
+def test_every_step_raises_the_acyclicity_measure():
+    # the game search keeps no record of its open configurations, because
+    # none recurs on a play: every step raises (A, -G), on drawn processes
+    # and from every state reachable in the corpus systems at their bounds
+    _drawn_plays_raise_the_measure()
+    steps = 0
+    for _, src, bounds, theory_name in corpus_systems():
+        theory = dolev_yao() if theory_name == "dolev-yao" else Theory(())
+        p = prime_bangs(parse_process(src), bounds.repl_unfold)
+        consts = default_consts(p) | frozenset(bounds.extra_consts)
+        args = (bounds, theory, build_signature(theory, p), consts)
+        for state in reachable_lts(from_process(p), *args).states:
+            steps += len(_successors_raise_the_measure(state, *args))
+    assert steps > 2000  # 2,455 at this writing, phantom steps included
