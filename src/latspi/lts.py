@@ -42,6 +42,7 @@ from .terms import (
     rename_vars,
 )
 from .syntax import (
+    NAME,
     Bang,
     ExtendedProcess,
     In,
@@ -220,7 +221,10 @@ def checked_bounds(values: dict, keys: dict[str, str]) -> dict:
         if field is None:
             raise ValueError(f"unknown bound {key!r} (use {', '.join(sorted(keys))})")
         if field == "extra_consts":
-            if not isinstance(value, list) or not all(isinstance(c, str) for c in value):
+            # a reserved name such as ``%0`` would make a private binder public
+            if not isinstance(value, list) or not all(
+                isinstance(c, str) and NAME.fullmatch(c) for c in value
+            ):
                 raise ValueError(f"bound {key!r} must be a list of names, not {value!r}")
             value = tuple(value)
         elif type(value) is not int or value < 0:

@@ -268,8 +268,10 @@ def prime_bangs(p: Process, fuel: int) -> Process:
 
 # --- parsing ---------------------------------------------------------------
 
+# a name as the parser reads it; the reserved ``%i`` and ``_i`` are not
+NAME = re.compile(r"[A-Za-z][A-Za-z0-9_']*")
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<ident>[A-Za-z][A-Za-z0-9_']*)|(?P<op>!=|[()\[\]=+|!.,0])|(?P<bad>\S))"
+    rf"\s*(?:(?P<ident>{NAME.pattern})|(?P<op>!=|[()\[\]=+|!.,0])|(?P<bad>\S))"
 )
 _KEYWORDS = {"new", "in", "out", "let"}
 

@@ -422,6 +422,10 @@ def _bounded_case(bounds, **fields):
         (_bounded_case({}, st_exhaustive=True), "'neg': unknown field 'st_exhaustive'"),
         (_bounded_case({}, theroy="empty"), "'neg': unknown field 'theroy'"),
         (_bounded_case({}, relation="sim-x"), "'neg': field 'relation' must be one of"),
+        *(
+            (_bounded_case({"extra_consts": [name]}), "'neg': bound 'extra_consts' must be a list of names")
+            for name in ("%0", "_0", "", "a b")
+        ),
     ],
     ids=[
         "without-cases",
@@ -435,6 +439,10 @@ def _bounded_case(bounds, **fields):
         "removed-field",
         "misspelt-field",
         "unknown-relation",
+        "canonical-binder-const",
+        "fresh-name-const",
+        "empty-const",
+        "spaced-const",
     ],
 )
 def test_corpus_malformed_file_exits_two(files, capsys, content, missing):
