@@ -223,7 +223,7 @@ def frame_class(frame, consts: frozenset[str], theory: Theory) -> int:
     table = theory.frames
     i = table.get((frame, consts))
     if i is None:
-        images = tuple([frame.mapping[a] for a in sorted(frame.mapping, key=msg_key)])
+        images = tuple([m for _, m in frame.items()])
         i = table[frame, consts] = _intern_class(images, consts, theory)
     return i
 
@@ -276,13 +276,13 @@ def _static_test(frame_a, frame_b, rho, consts, signature, depth, theory, both_d
     if len(rho.mapping) == size == len(frame_b.mapping):
         cls_b = image_class(frame_class(frame_b, consts, theory), rho, consts, theory)
     else:
-        right = [rho.mapping.get(a, a) for a in sorted(frame_a.mapping, key=msg_key)]
+        right = [rho.mapping.get(a, a) for a, _ in frame_a.items()]
         cls_b = _intern_class(tuple([frame_b.mapping.get(b, b) for b in right]), consts, theory)
     found = _scan(cls_a, cls_b, template, theory, both_directions)
     if found is None:
         return None
     j, k, holds_left, holds_right = found
-    rename = AliasMap(dict(zip(placeholders(size), sorted(frame_a.mapping, key=msg_key))))
+    rename = AliasMap(dict(zip(placeholders(size), [a for a, _ in frame_a.items()])))
     return StaticWitness(rename(template[j]), rename(template[k]), holds_left, holds_right)
 
 

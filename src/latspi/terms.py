@@ -413,13 +413,16 @@ class NormalForms:
 
 
 class Substitution:
-    """A finite map from aliases to messages, applied in suffix form.
-    Immutable: its hash is computed on first use and kept."""
+    """A finite map from aliases to messages, applied in suffix form.  Its
+    ``mapping`` is sorted by alias (``msg_key``) once, when it is built, and
+    ``items`` reads it in that order.  Immutable: its hash is computed on
+    first use and kept."""
 
     __slots__ = ("mapping", "_hash")
 
     def __init__(self, mapping: Mapping[Alias, Message] = ()):
-        self.mapping: dict[Alias, Message] = {a: m for a, m in dict(mapping).items() if m != a}
+        pairs = sorted(dict(mapping).items(), key=lambda kv: msg_key(kv[0]))
+        self.mapping: dict[Alias, Message] = {a: m for a, m in pairs if m != a}
         self._hash = None
 
     @property
@@ -441,7 +444,7 @@ class Substitution:
         return bool(self.mapping)
 
     def items(self):
-        return sorted(self.mapping.items(), key=lambda kv: msg_key(kv[0]))
+        return self.mapping.items()
 
     def extend(self, alias: Alias, m: Message) -> "Substitution":
         """Frame composition with a singleton ``{alias -> m}``."""
