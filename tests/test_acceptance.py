@@ -7,6 +7,10 @@ classes, witness shapes, and cross-cutting properties.
 """
 
 import json
+import os
+import runpy
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -296,6 +300,28 @@ def test_criterion_15_hierarchy_and_st_oracle():
     assert spectrum_classes(rows) == GOLDEN_SPECTRUM.read_bytes().decode()
     passed(15, "hierarchy respected corpus-wide on all 13 relations; maximal retention "
                "matches the exhaustive oracle, whose witnesses replay")
+
+
+SPECTRUM_SCRIPT = Path(__file__).parents[1] / "scripts" / "spectrum.py"
+
+
+def test_spectrum_script_prints_the_golden_row(tmp_path):
+    # the script, run as the README shows, on the pair of a corpus case at
+    # the case's bounds; its timing column is not compared
+    case = next(c for c in load_corpus() if c.name == "fresh-vs-hash-bisim-st")
+    left, right = tmp_path / "left.pi", tmp_path / "right.pi"
+    left.write_text(case.left)
+    right.write_text(case.right)
+    env = {**os.environ, "PYTHONPATH": str(SPECTRUM_SCRIPT.parents[1] / "src")}
+    bounds = "depth=0,static=1,unfold=2,game=10"
+    argv = [sys.executable, str(SPECTRUM_SCRIPT), str(left), str(right), "--bounds", bounds]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split()[:2] for line in proc.stdout.splitlines()]
+    order = runpy.run_path(str(SPECTRUM_SCRIPT))["ORDER"]
+    assert [name for name, _ in rows] == [rel.value for rel in order] and len(rows) == 13
+    golden = json.loads(GOLDEN_SPECTRUM.read_text())["pairs"]
+    assert dict(rows) == next(row["classes"] for row in golden if row["name"] == case.name)
 
 
 if __name__ == "__main__":

@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name that a module of the package, a test module or a script
+imports is used in that module."""
 
 import ast
 from pathlib import Path
@@ -6,6 +7,7 @@ from pathlib import Path
 import latspi
 
 PACKAGE = Path(latspi.__file__).parent
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -25,11 +27,9 @@ def unused_imports(source: str) -> list[str]:
 
 def test_no_unused_imports():
     # the package's __init__ imports names only to re-export them
-    found = {
-        path.name: names
-        for path in sorted(PACKAGE.glob("*.py"))
-        if path.name != "__init__.py" and (names := unused_imports(path.read_text()))
-    }
+    paths = [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"]
+    paths += sorted(ROOT.glob("tests/*.py")) + sorted(ROOT.glob("scripts/*.py"))
+    found = {str(path): names for path in paths if (names := unused_imports(path.read_text()))}
     assert found == {}
 
 
