@@ -17,8 +17,23 @@ theory interns congruence classes (``state_class``) and keeps one
 representative per class; the game expands representatives,
 ``reachable_lts`` merges states by class, and ``diamond_check`` reads a
 commuting successor from the cached transitions of the graph state in its
-class and compares endpoints by class.  Only canonical states are expanded:
-a raw residual's ``_i`` binders could clash with names extruded from it.
+class and compares endpoints by class.
+
+Only canonical states are expanded, and the structural layer relies on
+their invariant: ``alpha_canonical`` and ``congruence_key`` number every
+binder of the body from one counter, so no two binders share a name and
+none is a top binder or a free name.  A restriction therefore extrudes its
+own name, and ``Par`` joins one side's firing with the other side as it
+is: an extruded name occurs free nowhere else, so nothing captures it, and
+no other component extrudes it.  One case breaks the invariant within a
+single ``proc_transitions`` call: unfolding ``!P`` into ``P | !P`` (or
+firing a spent replication's phantom, continued by ``P' | !P``) makes
+copies of ``P`` whose binders share names.  A firing of one copy is still
+safe beside another, where the name is bound, not free.  But when two
+copies synchronise, both can extrude the same name, so ``_close`` renames
+the input side's clashing binders apart, to ``_i`` names that no canonical
+state holds.  ``subst_proc`` stays capture-avoiding, so delivering a
+payload does not rest on this argument.
 """
 
 from __future__ import annotations
@@ -39,7 +54,6 @@ from .terms import (
     free_aliases,
     free_vars,
     msg_key,
-    rename_vars,
 )
 from .syntax import (
     NAME,
@@ -288,41 +302,13 @@ def _push_choice(t: Firing, bit: str) -> Firing:
     return _refire(t, Location("", bit + loc.choice), t.binders, t.cont, t.phantom)
 
 
-def _own_names(t) -> frozenset[str]:
-    names = frozenset(t.binders) | all_names(t.cont)
-    if isinstance(t, POut):
-        names |= free_vars(t.chan) | free_vars(t.payload)
-    elif isinstance(t, PIn):
-        names |= free_vars(t.chan) | {t.binder}
-    return names
-
-
-def _freshen_binders(t, avoid: frozenset[str] | set[str]):
-    """Rename a firing's extruded binders apart from surrounding context.
-
-    Fresh names are chosen per subterm, so two sibling components can pick
-    the same name; before their residuals are joined under one binder list
-    the clash must be resolved."""
-    clash = set(t.binders) & set(avoid)
-    if not clash:
-        return t
-    supply = fresh_supply(set(avoid) | _own_names(t))
-    ren = {x: Var(next(supply)) for x in sorted(clash)}
-    binders = tuple(ren[x].name if x in ren else x for x in t.binders)
-    cont = subst_proc(t.cont, ren)
-    if isinstance(t, POut):
-        # channels never mention extruded binders (blocked at the binding
-        # restriction), payloads may
-        return POut(t.chan, rename_vars(t.payload, ren), t.loc, binders, cont, t.phantom)
-    return _refire(t, t.loc, binders, cont, t.phantom)
-
-
 def _close(o: POut, i: PIn) -> tuple[tuple[str, ...], Process]:
     """Deliver an output firing's payload to an input firing.
 
-    The two firings extrude independent binder lists which may clash; the
-    input side is renamed apart before the payload is substituted.  Returns
-    the combined binder list and the input-side continuation."""
+    The two binder lists clash only when the firings come from two copies
+    of one replicated body (see the module docstring); the input side is
+    then renamed apart before the payload is substituted.  Returns the
+    combined binder list and the input-side continuation."""
     clash = set(i.binders) & (set(o.binders) | free_vars(o.payload))
     w = list(i.binders)
     cont_i = i.cont
@@ -388,31 +374,18 @@ def _proc_transitions(p: Process, theory: Theory) -> tuple[tuple, bool]:
         unfolded = Par(p.body, Bang(p.body, p.fuel - 1))
         return proc_transitions(unfolded, theory)
     if isinstance(p, New):
-        avoid = all_names(p.body) | {p.name}
-        z = next(fresh_supply(avoid))
-        body = subst_proc(p.body, {p.name: Var(z)}) if p.name != z else p.body
-        ts, taint = proc_transitions(body, theory)
+        ts, taint = proc_transitions(p.body, theory)
         out = []
         for t in ts:
-            if isinstance(t, (POut, PIn)) and z in free_vars(t.chan):
+            if isinstance(t, (POut, PIn)) and p.name in free_vars(t.chan):
                 continue  # private-channel actions stay internal
-            t = _freshen_binders(t, {z})
-            out.append(_refire(t, t.loc, (z,) + t.binders, t.cont, t.phantom))
+            out.append(_refire(t, t.loc, (p.name,) + t.binders, t.cont, t.phantom))
         return tuple(out), taint
     if isinstance(p, Par):
         lts, ltaint = proc_transitions(p.left, theory)
         rts, rtaint = proc_transitions(p.right, theory)
-        # only a firing that extrudes binders is renamed apart from the
-        # other side's names
-        left_names = all_names(p.left) if any(t.binders for t in rts) else frozenset()
-        right_names = all_names(p.right) if any(t.binders for t in lts) else frozenset()
-        out = []
-        for t in lts:
-            t = _freshen_binders(t, right_names)
-            out.append(_refire(t, _push_loc(t.loc, "0"), t.binders, Par(t.cont, p.right), t.phantom))
-        for t in rts:
-            t = _freshen_binders(t, left_names)
-            out.append(_refire(t, _push_loc(t.loc, "1"), t.binders, Par(p.left, t.cont), t.phantom))
+        out = [_refire(t, _push_loc(t.loc, "0"), t.binders, Par(t.cont, p.right), t.phantom) for t in lts]
+        out += [_refire(t, _push_loc(t.loc, "1"), t.binders, Par(p.left, t.cont), t.phantom) for t in rts]
         for o in lts:
             if not isinstance(o, POut):
                 continue
@@ -487,9 +460,11 @@ def enabled_transitions(
 
     Channels and input payloads range over recipes up to
     ``bounds.recipe_depth``; each output extends the frame at an alias
-    rooted at the firing location's parallel prefix.  ``A`` must be
-    canonical (alpha-canonical or a class representative), never a raw
-    residual; the steps carry raw residuals and their events' ids."""
+    rooted at the firing location's parallel prefix.  The binders of
+    ``A`` must be pairwise distinct, and none may be a top binder or a free
+    name: ``alpha_canonical`` and ``congruence_key`` guarantee it, and a raw
+    residual need not satisfy it (see the module docstring).  The steps
+    carry raw residuals and their events' ids."""
     cache = theory.enabled
     key = (A, bounds, signature, consts)
     hit = cache.get(key)

@@ -7,7 +7,9 @@ processes pair a plain process with a frame (an alias substitution) under a
 list of top-level restrictions.
 
 Two reserved namespaces keep renaming hygienic: canonical binders are named
-``%0, %1, ...`` and transition-local fresh names are ``_0, _1, ...``.
+``%0, %1, ...``, and the fresh names ``_0, _1, ...`` come only from
+capture-avoiding substitution (``subst_proc``) and from ``lts._close``,
+which renames apart two copies of a replicated body that synchronise.
 Neither is accepted by the parser, so user-level names never collide with
 machine-chosen ones.
 

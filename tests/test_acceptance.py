@@ -35,12 +35,12 @@ from latspi.lts import (
     default_consts,
     diamond_check,
     enabled_transitions,
-    reachable_lts,
 )
 from latspi.knowledge import satisfies
 from latspi.syntax import from_process, parse_process, prime_bangs, struct_congruent
 from latspi.terms import Alias, Substitution, Theory, Var, app
 from st_oracle import check_exhaustive
+from test_lts_systems import corpus_systems, explore
 
 CASES = {c.name: c for c in load_corpus()}
 
@@ -215,22 +215,12 @@ def test_criterion_13_located_chain():
 
 
 def test_criterion_14_diamond_property():
-    seen = set()
     checked = 0
-    for c in load_corpus():
-        theory = case_theory(c)
-        for src in (c.left, c.right):
-            key = (src, c.bounds, c.theory)
-            if key in seen:
-                continue
-            seen.add(key)
-            p = prime_bangs(parse_process(src), c.bounds.repl_unfold)
-            signature = build_signature(theory, p)
-            consts = default_consts(p) | frozenset(c.bounds.extra_consts)
-            g = reachable_lts(from_process(p), c.bounds, theory, signature, consts)
-            violations = diamond_check(g, c.bounds, theory, signature, consts)
-            assert violations == [], (c.name, src, violations[:1])
-            checked += len(g.states)
+    for _, src, c in corpus_systems():
+        g, args = explore(src, c.bounds, case_theory(c))
+        violations = diamond_check(g, *args)
+        assert violations == [], (c.name, src, violations[:1])
+        checked += len(g.states)
     assert checked > 500
     passed(14, f"zero diamond violations across all corpus LTSs ({checked} states)")
 

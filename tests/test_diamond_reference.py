@@ -15,19 +15,16 @@ from dataclasses import replace
 import pytest
 
 import latspi.independence
-from latspi.corpus import case_theory, load_corpus
-from latspi.games import build_signature
+from latspi.corpus import case_theory
 from latspi.lts import (
     DiamondViolation,
     ExplorationBounds,
-    default_consts,
     diamond_check,
     enabled_transitions,
-    reachable_lts,
     state_class,
 )
-from latspi.syntax import from_process, parse_process, prime_bangs
 from latspi.terms import Theory
+from test_lts_systems import corpus_systems, explore
 
 
 # --- reference -------------------------------------------------------------
@@ -68,26 +65,13 @@ def ref_fire(A, event, bounds, theory, signature, consts):
 # --- comparison ------------------------------------------------------------
 
 
-def _systems():
-    """Each distinct corpus system, as (source, bounds, theory name), mapped
-    to the first case that names it."""
-    seen = {}
-    for c in load_corpus():
-        for src in (c.left, c.right):
-            seen.setdefault((src, c.bounds, c.theory), c)
-    return seen
-
-
 def _violations(src, bounds, theory):
     """The library's and the reference's violations on ``src``'s graph, and
     whether the state budget cut the graph.  The library runs first, on
     only what exploration computed."""
-    p = prime_bangs(parse_process(src), bounds.repl_unfold)
-    signature = build_signature(theory, p)
-    consts = default_consts(p) | frozenset(bounds.extra_consts)
-    graph = reachable_lts(from_process(p), bounds, theory, signature, consts)
-    lib = diamond_check(graph, bounds, theory, signature, consts)
-    ref = ref_diamond_check(graph, bounds, theory, signature, consts)
+    graph, args = explore(src, bounds, theory)
+    lib = diamond_check(graph, *args)
+    ref = ref_diamond_check(graph, *args)
     return lib, ref, graph.budget_exhausted
 
 
@@ -104,10 +88,11 @@ def _force_independence(monkeypatch):
 def test_diamond_check_agrees_with_the_reference(monkeypatch, budget, forced):
     if forced:
         _force_independence(monkeypatch)
-    systems = _systems()
+    systems = corpus_systems()
     assert len(systems) == 34
     exhausted = missing = 0
-    for (src, bounds, _), case in systems.items():
+    for _, src, case in systems:
+        bounds = case.bounds
         if budget is not None:
             bounds = replace(bounds, state_budget=budget)
         lib, ref, cut = _violations(src, bounds, case_theory(case))

@@ -1,5 +1,6 @@
 """Every name that a module of the package, a test module or a script
-imports is used in that module."""
+imports is used in that module, and every private function or class of
+the package is referenced somewhere in it."""
 
 import ast
 from pathlib import Path
@@ -41,3 +42,45 @@ def test_unused_imports_are_found():
         "print(sys, a)\n"
     )
     assert unused_imports(source) == ["os (line 2)", "c (line 3)"]
+
+
+def unreferenced_private(sources: dict[str, str]) -> list[str]:
+    """The module-level private functions and classes of ``sources`` (module
+    name to source) that no code outside their own definition names."""
+    defined: list[tuple[str, str, int]] = []
+    named: set[str] = set()
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            names = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.ImportFrom):
+                    names.update(alias.name for alias in node.names)
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and stmt.name.startswith("_"):
+                defined.append((module, stmt.name, stmt.lineno))
+                names.discard(stmt.name)  # a recursive call is no reference
+            named |= names
+    return [f"{module}.{name} (line {line})" for module, name, line in defined if name not in named]
+
+
+def test_no_unreferenced_private_definitions():
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert unreferenced_private(sources) == []
+
+
+def test_unreferenced_private_definitions_are_found():
+    sources = {
+        "a": (
+            "def _used(): return _Helper()\n"
+            "class _Helper: pass\n"
+            "def _dead(n): return _dead(n - 1)\n"
+            "def _read(): pass\n"
+            "def _imported(): pass\n"
+            "def public(): return _used()\n"
+        ),
+        "b": "from . import a\nfrom .a import _imported\nprint(a._read, _imported)\n",
+    }
+    assert unreferenced_private(sources) == ["a._dead (line 3)"]

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from latspi import lts
+from latspi.corpus import case_theory
 from latspi.games import build_signature
 from latspi.lts import (
     ExplorationBounds,
@@ -34,7 +35,7 @@ from latspi.syntax import (
     struct_congruent,
 )
 from latspi.terms import ID, Theory, dolev_yao
-from test_lts_systems import corpus_systems
+from test_lts_systems import corpus_systems, explore
 from test_syntax import _names, _procs
 
 B1 = ExplorationBounds(recipe_depth=1, static_depth=1, repl_unfold=2, game_depth=12)
@@ -46,7 +47,7 @@ def setup(src, theory=None, bounds=B1):
     p = prime_bangs(parse_process(src), bounds.repl_unfold)
     signature = build_signature(theory, p)
     consts = default_consts(p)
-    return from_process(p), theory, bounds, signature, consts
+    return alpha_canonical(from_process(p)), theory, bounds, signature, consts
 
 
 def events_of(src, **kw):
@@ -137,8 +138,8 @@ def test_bang_without_fuel_rejected():
 
 
 def test_sibling_restrictions_stay_distinct():
-    # both components pick locally fresh binder names; after extrusion the
-    # two restricted names must not be conflated under one binder list
+    # after extrusion the two restricted names must not be conflated under
+    # one binder list
     A, theory, bounds, signature, consts = setup("new k.(out(a, k) | new m.out(b, m))", bounds=B0)
     after = step_on(A, "(^b(1l), 1[])", theory, bounds, signature, consts)
     text = str(after)
@@ -146,7 +147,7 @@ def test_sibling_restrictions_stay_distinct():
     assert "{1l -> %1}" in text and "out(a, %0)" in text
 
 
-def test_close_renames_input_side_apart():
+def test_delivered_secret_stays_apart_from_the_receivers_restriction():
     src = "new n.(new k.out(n, k) | in(n, x).new k.out(a, pair(x, k)))"
     _, evs = events_of(src, bounds=B0)
     assert evs == ["(tau, (0[], 1[]))"]
@@ -157,6 +158,18 @@ def test_close_renames_input_side_apart():
     # the delivered secret and the receiver's own restriction stay distinct
     payload = str(out_step.target)
     assert "pair(%1, %2)" in payload
+
+
+def test_close_renames_apart_two_copies_of_a_replicated_body():
+    # unfolding the bang makes copies of ``new k`` with one binder name; when
+    # one copy's input takes the other's output, both extrude it, and the
+    # input side's ``k`` must stay apart from the delivered one
+    bounds = ExplorationBounds(recipe_depth=0, static_depth=0, repl_unfold=2, state_budget=30)
+    A, theory, _, signature, consts = setup("!new k.(out(c,k) | in(c,x).out(k,x))", bounds=bounds)
+    states = [str(s) for s in reachable_lts(A, bounds, theory, signature, consts).states]
+    rest = "!new %3.(out(c, %3) | in(c, %4).out(%3, %4))"
+    assert states[8] == f"new %0,%1.(id | (0 | in(c, %2).out(%0, %2)) | (out(c, %1) | out(%1, %0)) | {rest})"
+    assert states[9] == f"new %0,%1.(id | (out(c, %1) | out(%1, %0)) | (0 | in(c, %2).out(%0, %2)) | {rest})"
 
 
 # --- reachability and diamonds --------------------------------------------
@@ -210,7 +223,6 @@ def test_steps_canonicalise_their_target_on_first_read(monkeypatch):
 
     monkeypatch.setattr(lts, "alpha_canonical", counting)
     A, theory, bounds, signature, consts = setup("new k.(out(a, k) | new m.out(b, m) | in(c, x))")
-    A = alpha_canonical(A)
     tset = enabled_transitions(A, bounds, theory, signature, consts)
     assert len(tset.steps) > 2 and calls == []  # successors are built raw
     step = tset.steps[-1]
@@ -303,11 +315,8 @@ def test_every_step_raises_the_acyclicity_measure():
     # and from every state reachable in the corpus systems at their bounds
     _drawn_plays_raise_the_measure()
     steps = 0
-    for _, src, bounds, theory_name in corpus_systems():
-        theory = dolev_yao() if theory_name == "dolev-yao" else Theory(())
-        p = prime_bangs(parse_process(src), bounds.repl_unfold)
-        consts = default_consts(p) | frozenset(bounds.extra_consts)
-        args = (bounds, theory, build_signature(theory, p), consts)
-        for state in reachable_lts(from_process(p), *args).states:
+    for _, src, case in corpus_systems():
+        graph, args = explore(src, case.bounds, case_theory(case))
+        for state in graph.states:
             steps += len(_successors_raise_the_measure(state, *args))
     assert steps > 2000  # 2,455 at this writing, phantom steps included

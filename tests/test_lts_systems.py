@@ -19,19 +19,33 @@ from pathlib import Path
 
 from latspi.cli import main
 from latspi.corpus import load_corpus
+from latspi.games import build_signature
+from latspi.lts import default_consts, reachable_lts
+from latspi.syntax import from_process, parse_process, prime_bangs
 
 GOLDEN_SYSTEMS = Path(__file__).parent / "data" / "lts_systems.json"
 
 
 def corpus_systems():
-    """(name, source, bounds, theory name) of each distinct corpus system,
-    named by the first case and side that give it."""
+    """(name, source, case) of each distinct corpus system, named by the
+    first case and side that give it; the system has that case's bounds and
+    theory preset (``corpus.case_theory``)."""
     seen = {}
     for c in load_corpus():
         for side in ("left", "right"):
             src = getattr(c, side)
-            seen.setdefault((src, c.bounds, c.theory), f"{c.name}/{side}")
-    return [(name, src, bounds, theory) for (src, bounds, theory), name in seen.items()]
+            seen.setdefault((src, c.bounds, c.theory), (f"{c.name}/{side}", c))
+    return [(name, src, case) for (src, _, _), (name, case) in seen.items()]
+
+
+def explore(src, bounds, theory):
+    """The graph that ``src``, primed at ``bounds``, reaches on ``theory``,
+    and the arguments ``(bounds, theory, signature, consts)`` that its
+    transitions and ``diamond_check`` take."""
+    p = prime_bangs(parse_process(src), bounds.repl_unfold)
+    consts = default_consts(p) | frozenset(bounds.extra_consts)
+    args = (bounds, theory, build_signature(theory, p), consts)
+    return reachable_lts(from_process(p), *args), args
 
 
 def _cli(args) -> str:
@@ -44,11 +58,12 @@ def _cli(args) -> str:
 def system_rows() -> list[dict]:
     rows = []
     with tempfile.TemporaryDirectory() as tmp:
-        for k, (name, src, b, theory) in enumerate(corpus_systems()):
+        for k, (name, src, case) in enumerate(corpus_systems()):
             path = Path(tmp) / f"system{k}.pi"
             path.write_text(src)
+            b = case.bounds
             opts = [
-                "--theory", theory,
+                "--theory", case.theory,
                 "--bounds", f"depth={b.recipe_depth},static={b.static_depth},"
                 f"unfold={b.repl_unfold},game={b.game_depth},budget={b.state_budget}",
                 "--format", "json",

@@ -281,8 +281,9 @@ def test_canonical_forms_agree_with_the_reference(binders, frame, p):
     assert alpha_canonical(A) == _canonical(A, order_by_use=False)
 
 
-# residuals of transitions carry fresh names ``_0, _1, ...``, which the
-# parser rejects; a renaming puts some into the generated processes
+# capture-avoiding substitution and ``lts._close`` choose fresh names
+# ``_0, _1, ...``, which the parser rejects; a renaming puts some into the
+# generated processes
 _to_fresh = st.dictionaries(_names, st.sampled_from(["_0", "_1"]).map(Var), max_size=2)
 
 
