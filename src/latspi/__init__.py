@@ -30,6 +30,7 @@ from .terms import (
 )
 from .syntax import (
     ExtendedProcess,
+    ParseDepthExceeded,
     ParseError,
     Process,
     alpha_canonical,

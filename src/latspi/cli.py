@@ -41,7 +41,7 @@ from .lts import (
     enabled_transitions,
     reachable_lts,
 )
-from .syntax import ParseError, alpha_canonical, from_process, parse_pi_file, prime_bangs, to_text
+from .syntax import ParseError, from_process, parse_pi_file, prime_bangs, to_text
 from .terms import (
     ID_ALIAS,
     Alias,
@@ -253,8 +253,7 @@ def cmd_lts(args) -> int:
 
 def cmd_indep(args) -> int:
     p, theory, bounds, signature, consts = _explore(args)
-    start = alpha_canonical(from_process(p))
-    steps = enabled_transitions(start, bounds, theory, signature, consts).real_steps
+    steps = enabled_transitions(from_process(p), bounds, theory, signature, consts).real_steps
     uniq = []
     seen = set()
     for s in steps:

@@ -243,9 +243,8 @@ class Checker:
     # -- primitives --
 
     def transitions(self, state: ExtendedProcess) -> TransitionSet:
-        """Transitions of the representative of the state's class."""
-        rep = representative(state, self.theory)
-        tset = enabled_transitions(rep, self.bounds, self.theory, self.signature, self.consts)
+        """Transitions of the state's class."""
+        tset = enabled_transitions(state, self.bounds, self.theory, self.signature, self.consts)
         if tset.tainted:
             self.tainted = True
         return tset

@@ -10,30 +10,28 @@ hidden behind located aliases extending the frame, and channels and input
 payloads become recipes over the frame domain and the public names.
 
 Successors are built raw: a ``Step`` carries its ``residual`` with the
-transition-local binder names the structural layer chose, and its
-alpha-canonical ``target`` is computed on first read.  Most successors are
-never read, because a search stops at its first answer or refutation.  The
+transition-local binder names the structural layer chose, since a search
+stops at its first answer or refutation and reads few successors.  The
 theory interns congruence classes (``state_class``) and keeps one
-representative per class; the game expands representatives,
-``reachable_lts`` merges states by class, and ``diamond_check`` reads a
-commuting successor from the cached transitions of the graph state in its
-class and compares endpoints by class.
+representative per class, its congruence key.  ``enabled_transitions``
+accepts any state, fires the representative of its class and caches the
+result per class.  The game expands representatives, ``reachable_lts``
+lists them as its states, and ``diamond_check`` compares endpoints by class.
 
-Only canonical states are expanded, and the structural layer relies on
-their invariant: ``alpha_canonical`` and ``congruence_key`` number every
-binder of the body from one counter, so no two binders share a name and
-none is a top binder or a free name.  A restriction therefore extrudes its
-own name, and ``Par`` joins one side's firing with the other side as it
-is: an extruded name occurs free nowhere else, so nothing captures it, and
-no other component extrudes it.  One case breaks the invariant within a
-single ``proc_transitions`` call: unfolding ``!P`` into ``P | !P`` (or
-firing a spent replication's phantom, continued by ``P' | !P``) makes
-copies of ``P`` whose binders share names.  A firing of one copy is still
-safe beside another, where the name is bound, not free.  But when two
-copies synchronise, both can extrude the same name, so ``_close`` renames
-the input side's clashing binders apart, to ``_i`` names that no canonical
-state holds.  ``subst_proc`` stays capture-avoiding, so delivering a
-payload does not rest on this argument.
+Only representatives are fired, and the structural layer relies on their
+invariant: ``congruence_key`` numbers every binder of the body from one
+counter, so no two binders share a name and none is a top binder or a free
+name.  A restriction therefore extrudes its own name, and ``Par`` joins one
+side's firing with the other side as it is: an extruded name occurs free
+nowhere else, so nothing captures it, and no other component extrudes it.
+One case breaks the invariant within a single ``proc_transitions`` call:
+unfolding ``!P`` into ``P | !P`` (or firing a spent replication's phantom,
+continued by ``P' | !P``) makes copies of ``P`` whose binders share names.
+A firing of one copy is still safe beside another, where the name is
+bound, not free.  But when two copies synchronise, both can extrude the
+same name, so ``_close`` renames the input side's clashing binders apart,
+to ``_i`` names that no canonical state holds.  ``subst_proc`` stays
+capture-avoiding, so delivering a payload does not rest on this argument.
 """
 
 from __future__ import annotations
@@ -68,7 +66,6 @@ from .syntax import (
     Par,
     Process,
     Sum,
-    alpha_canonical,
     all_names,
     congruence_key,
     free_names,
@@ -424,18 +421,13 @@ def fresh_alias(prefix: str, domain: frozenset[Alias]) -> Alias:
 
 @dataclass(frozen=True)
 class Step:
-    """One transition; ``eid`` is the event's id in the theory's table,
-    ``residual`` the successor as built and ``target`` its alpha-canonical
-    form, computed on first read and kept."""
+    """One transition; ``eid`` is the event's id in the theory's table and
+    ``residual`` the successor as built."""
 
     event: Event
     eid: int
     residual: ExtendedProcess
     phantom: bool = False
-
-    @cached_property
-    def target(self) -> ExtendedProcess:
-        return alpha_canonical(self.residual)
 
 
 @dataclass
@@ -456,21 +448,26 @@ def enabled_transitions(
     signature: tuple[Symbol, ...],
     consts: frozenset[str],
 ) -> TransitionSet:
-    """Environment-facing transitions of an extended process.
+    """Environment-facing transitions of an extended process, fired from
+    the representative of its class and computed once per class.
 
     Channels and input payloads range over recipes up to
     ``bounds.recipe_depth``; each output extends the frame at an alias
-    rooted at the firing location's parallel prefix.  The binders of
-    ``A`` must be pairwise distinct, and none may be a top binder or a free
-    name: ``alpha_canonical`` and ``congruence_key`` guarantee it, and a raw
-    residual need not satisfy it (see the module docstring).  The steps
-    carry raw residuals and their events' ids."""
+    rooted at the firing location's parallel prefix.  The steps carry raw
+    residuals and their events' ids."""
+    cid = state_class(A, theory)
     cache = theory.enabled
-    key = (A, bounds, signature, consts)
+    key = (cid, bounds, signature, consts)
     hit = cache.get(key)
-    if hit is not None:
-        return hit
+    if hit is None:
+        hit = cache[key] = _fire(theory.reps[cid], bounds, theory, signature, consts)
+    return hit
 
+
+def _fire(A: ExtendedProcess, bounds, theory: Theory, signature, consts) -> TransitionSet:
+    """``enabled_transitions`` of ``A`` computed afresh.  The binders of
+    ``A`` must be pairwise distinct, and none may be a top binder or a free
+    name, as in a representative (see the module docstring)."""
     ts, tainted = proc_transitions(A.body, theory)
     recipes = knowledge.recipe_enum(
         A.frame.domain, consts, signature, bounds.recipe_depth, theory
@@ -510,9 +507,7 @@ def enabled_transitions(
 
     keys = theory.event_keys
     steps.sort(key=lambda s: (s.phantom, keys[s.eid]))
-    result = TransitionSet(steps, tainted)
-    cache[key] = result
-    return result
+    return TransitionSet(steps, tainted)
 
 
 def state_class(state: ExtendedProcess, theory: Theory) -> int:
@@ -567,11 +562,11 @@ def reachable_lts(
     consts: frozenset[str],
 ) -> LTSGraph:
     """Breadth-first exploration up to the state budget; states are merged
-    up to structural congruence, and each class is shown by the
-    alpha-canonical target that reached it first."""
-    start = alpha_canonical(A)
-    index = {state_class(start, theory): 0}  # class id -> state index
-    states = [start]
+    up to structural congruence, and each class is shown by its
+    representative, the start state's included."""
+    start = state_class(A, theory)
+    index = {start: 0}  # class id -> state index
+    states = [theory.reps[start]]
     edges: list[tuple[int, Event, int]] = []
     tainted = False
     exhausted = False
@@ -591,7 +586,7 @@ def reachable_lts(
                         continue
                     tid = len(states)
                     index[cid] = tid
-                    states.append(s.target)
+                    states.append(theory.reps[cid])
                     next_frontier.append(tid)
                 edges.append((sid, s.event, tid))
         frontier = next_frontier
@@ -620,32 +615,25 @@ def diamond_check(
     endpoints across all states of an explored graph; endpoints are
     compared by their class ids.
 
-    The successor of step ``s0`` on event ``e1`` is read from the graph
-    state in ``s0``'s class, whose transitions exploration already cached:
-    congruent states have the same events in the same order, and
-    transitions preserve congruence.  Only a class the state budget kept
-    out of the graph is fired from ``s0.target``."""
+    The successor of step ``s0`` on event ``e1`` is read from the cached
+    transitions of the representative of ``s0``'s class: congruent states
+    have the same events in the same order, and transitions preserve
+    congruence."""
     from .independence import indep_event
 
     def real_steps(A):
         return enabled_transitions(A, bounds, theory, signature, consts).real_steps
 
-    index = {state_class(s, theory): i for i, s in enumerate(graph.states)}
-    succ: dict[int, dict[int, int]] = {}  # state index -> event id -> class id
+    succ: dict[int, dict[int, int]] = {}  # class id -> event id -> class id
 
     def after(s0: Step, eid: int) -> int | None:
-        """Class id of ``s0.target``'s successor on event ``eid``, or ``None``."""
-        i = index.get(state_class(s0.residual, theory))
-        if i is None:
-            for s in real_steps(s0.target):
-                if s.eid == eid:
-                    return state_class(s.residual, theory)
-            return None
-        table = succ.get(i)
+        """Class id of ``s0``'s successor on event ``eid``, or ``None``."""
+        cid = state_class(s0.residual, theory)
+        table = succ.get(cid)
         if table is None:
             # reversed, so that the first step on an event wins
-            steps = reversed(real_steps(graph.states[i]))
-            table = succ[i] = {s.eid: state_class(s.residual, theory) for s in steps}
+            steps = reversed(real_steps(theory.reps[cid]))
+            table = succ[cid] = {s.eid: state_class(s.residual, theory) for s in steps}
         return table.get(eid)
 
     violations = []

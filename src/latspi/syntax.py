@@ -49,6 +49,7 @@ from .terms import (
     App,
     Message,
     Node,
+    ResourceLimitExceeded,
     Substitution,
     Symbol,
     Var,
@@ -61,6 +62,10 @@ from .terms import (
 
 class ParseError(Exception):
     pass
+
+
+class ParseDepthExceeded(ResourceLimitExceeded):
+    """The input nests deeper than the parser can recurse."""
 
 
 class Process(Node):
@@ -331,6 +336,14 @@ class _Parser:
             return True
         return False
 
+    def parse_whole(self) -> Process:
+        """``parse_proc`` at the top of a parse, which the recursion limit
+        stops as ``ParseDepthExceeded``."""
+        try:
+            return self.parse_proc()
+        except RecursionError:
+            raise ParseDepthExceeded("input nests deeper than the parser can recurse") from None
+
     # proc := sum ('|' proc)?
     def parse_proc(self) -> Process:
         left = self.parse_sum()
@@ -434,7 +447,7 @@ class _Parser:
 
 def parse_process(text: str, defs: dict[str, Process] | None = None, arities: dict[str, int] | None = None) -> Process:
     parser = _Parser(_tokenize(text), defs, arities)
-    proc = parser.parse_proc()
+    proc = parser.parse_whole()
     if parser.peek()[0] is not None:
         raise ParseError(f"trailing input at {parser.peek()[1]!r}")
     return proc
@@ -451,11 +464,9 @@ def parse_pi_file(text: str, arities: dict[str, int] | None = None) -> tuple[dic
             parser.next()
             name = parser.ident()
             parser.expect("op", "=")
-            body = parser.parse_proc()
-            parser.defs[name] = body
-            last = body
+            last = parser.defs[name] = parser.parse_whole()
         else:
-            last = parser.parse_proc()
+            last = parser.parse_whole()
             if parser.peek()[0] is not None:
                 raise ParseError(f"trailing input at {parser.peek()[1]!r}")
             break

@@ -29,7 +29,8 @@ from typing import Iterable, Mapping
 
 class ResourceLimitExceeded(Exception):
     """A computation stopped at one of the package's fixed resource limits:
-    a recipe count, a rewrite step budget, a count of listed pairs."""
+    a recipe count, a rewrite step budget, a count of listed pairs, the
+    parser's nesting depth."""
 
 
 class RewriteBudgetExceeded(ResourceLimitExceeded):
@@ -231,7 +232,7 @@ class Theory:
         self.normal_forms = NormalForms()
         # process -> its structural transitions (``lts.proc_transitions``)
         self.structural: dict = {}
-        # (state, bounds, signature, consts) -> ``lts.enabled_transitions``
+        # (class id, bounds, signature, consts) -> ``lts.enabled_transitions``
         self.enabled: dict = {}
         # (domain size, consts, signature, depth) -> the recipe template
         # (``knowledge.recipe_template``), and (aliases, consts, signature,
@@ -244,8 +245,8 @@ class Theory:
         self.frames: dict = {}
         self.class_images: list = []
         # state -> id of its congruence class, and class id -> the class's
-        # representative, its congruence key (``lts.state_class``); the
-        # game, ``reachable_lts`` and ``diamond_check`` share them
+        # representative, its congruence key (``lts.state_class``); every
+        # layer that fires, expands or merges states shares them
         self.classes: dict = {}
         self.reps: list = []
         # frame -> the one frame object that the representatives with an

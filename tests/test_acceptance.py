@@ -94,7 +94,7 @@ def test_criterion_01_lts_shape():
     def fire(state, ev):
         for s in enabled_transitions(state, bounds, theory, signature, consts).real_steps:
             if str(s.event) == ev:
-                return s.target
+                return s.residual
         raise AssertionError(ev)
 
     ab = fire(fire(A, "(^a(0l), 0[])"), "(^b(1l), 1[])")

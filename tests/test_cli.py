@@ -10,6 +10,7 @@ import latspi
 from latspi.cli import PairLimitExceeded, main, parse_bounds
 from latspi.knowledge import RecipeLimitExceeded
 from latspi.lts import ExplorationBounds
+from latspi.syntax import ParseDepthExceeded
 from latspi.terms import ResourceLimitExceeded, RewriteBudgetExceeded
 
 
@@ -107,10 +108,10 @@ def test_lts_json(files, capsys):
     assert out.splitlines()[-1] == "2 states, 1 edges, tainted=True, budget_exhausted=True"
 
 
-def test_lts_prints_each_state_as_first_reached(files, capsys):
-    # the right side of corpus case swap-sim: several of its states are
-    # alpha-canonical but not congruence keys (%2 is used before %0), and
-    # each is printed in the form of the first transition that reached it
+def test_lts_prints_each_state_as_its_class_representative(files, capsys):
+    # the right side of corpus case swap-sim: each state is printed as its
+    # class representative, the congruence key, which numbers the top
+    # binders in order of first use, in the frame and then in the body
     f = files(
         "swap.pi", "new c,d,n.((out(d,d) | out(a,n).in(d,z)) | (out(c,c) | in(c,y).in(n,x)))"
     )
@@ -118,13 +119,13 @@ def test_lts_prints_each_state_as_first_reached(files, capsys):
     assert code == 0
     assert json.loads(out)["states"] == [
         "(id | new %0,%1,%2.((out(%1, %1) | out(a, %2).in(%1, %3)) | out(%0, %0) | in(%0, %4).in(%2, %5)))",
-        "new %0,%1,%2.({01l -> %2} | (out(%1, %1) | in(%1, %3)) | out(%0, %0) | in(%0, %4).in(%2, %5))",
-        "new %0,%1,%2.(id | (out(%1, %1) | out(a, %2).in(%1, %3)) | 0 | in(%2, %4))",
-        "new %0,%1,%2.({01l -> %2} | (0 | 0) | out(%0, %0) | in(%0, %3).in(%2, %4))",
-        "new %0,%1,%2.({01l -> %2} | (out(%1, %1) | in(%1, %3)) | 0 | in(%2, %4))",
-        "new %0,%1,%2.({01l -> %2} | (0 | 0) | 0 | in(%2, %3))",
-        "new %0,%1,%2.({01l -> %2} | (out(%1, %1) | in(%1, %3)) | 0 | 0)",
-        "new %0,%1,%2.({01l -> %2} | (0 | 0) | 0 | 0)",
+        "new %0,%1,%2.({01l -> %0} | (out(%1, %1) | in(%1, %3)) | out(%2, %2) | in(%2, %4).in(%0, %5))",
+        "new %0,%1,%2.(id | (out(%0, %0) | out(a, %1).in(%0, %3)) | 0 | in(%1, %4))",
+        "new %0,%1,%2.({01l -> %0} | (0 | 0) | out(%1, %1) | in(%1, %3).in(%0, %4))",
+        "new %0,%1,%2.({01l -> %0} | (out(%1, %1) | in(%1, %3)) | 0 | in(%0, %4))",
+        "new %0,%1,%2.({01l -> %0} | (0 | 0) | 0 | in(%0, %3))",
+        "new %0,%1,%2.({01l -> %0} | (out(%1, %1) | in(%1, %3)) | 0 | 0)",
+        "new %0,%1,%2.({01l -> %0} | (0 | 0) | 0 | 0)",
     ]
 
 
@@ -333,7 +334,8 @@ def test_resource_limits_share_one_exported_base():
     assert latspi.ResourceLimitExceeded is ResourceLimitExceeded
     assert latspi.RecipeLimitExceeded is RecipeLimitExceeded
     assert latspi.RewriteBudgetExceeded is RewriteBudgetExceeded
-    for exc in (RecipeLimitExceeded, RewriteBudgetExceeded, PairLimitExceeded):
+    assert latspi.ParseDepthExceeded is ParseDepthExceeded
+    for exc in (RecipeLimitExceeded, RewriteBudgetExceeded, PairLimitExceeded, ParseDepthExceeded):
         assert issubclass(exc, latspi.ResourceLimitExceeded)
 
 

@@ -3,9 +3,9 @@
 The reference functions below are the firing-based check that
 ``latspi.lts.diamond_check`` used before it read successors from the
 explored graph: for every independent pair it fires each event again from
-the other step's alpha-canonical target, and compares the two endpoints by
-class id.  The library must report the same violations, in the same order,
-on every distinct corpus system.  Small state budgets cut most graphs short,
+the other step's residual, and compares the two endpoints by class id.
+The library must report the same violations, in the same order, on every
+distinct corpus system.  Small state budgets cut most graphs short,
 so classes outside the graph are checked too; forcing every distinct pair
 independent makes most pairs fail, so both reasons are exercised.
 """
@@ -42,8 +42,8 @@ def ref_diamond_check(graph, bounds, theory, signature, consts):
                 e1 = s1.event
                 if e0 == e1 or not indep_event(e0, e1):
                     continue
-                b01 = ref_fire(s0.target, e1, bounds, theory, signature, consts)
-                b10 = ref_fire(s1.target, e0, bounds, theory, signature, consts)
+                b01 = ref_fire(s0.residual, e1, bounds, theory, signature, consts)
+                b10 = ref_fire(s1.residual, e0, bounds, theory, signature, consts)
                 if b01 is None or b10 is None:
                     violations.append(
                         DiamondViolation(state, e0, e1, "missing commuting transition")

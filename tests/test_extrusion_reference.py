@@ -7,9 +7,10 @@ renamed a one-sided firing's binders apart from every name of the other
 side (``ref_freshen_binders``).  ``ref_close`` is the ``_close`` of that
 code, kept here so that the reference does not lean on the library's clash
 check.  The top layer is the library's ``enabled_transitions`` over each
-structural layer, on a theory of its own.  On canonical states the two
-must agree step for step: the same events in the same order, the same
-phantom flags and taint, and alpha-equal residuals.
+structural layer, on a theory of its own, which fires the representative
+of a state's class.  The two must agree step for step: the same events in
+the same order, the same phantom flags and taint, and alpha-equal
+residuals.
 """
 
 import pytest
@@ -44,6 +45,7 @@ from latspi.syntax import (
     Sum,
     all_names,
     alpha_canonical,
+    congruence_key,
     fresh_supply,
     parse_process,
     prime_bangs,
@@ -225,7 +227,7 @@ def _fires_as_the_reference(state, ref_theory, bounds, theory, signature, consts
 # two copies of the replicated body synchronise, and both extrude ``k``
 @example((), parse_process("!new k.(out(c, k) | in(c, x).out(k, x))"), 2)
 def test_drawn_states_fire_as_the_reference(binders, p, unfold):
-    # a drawn state and the targets of its steps, phantom steps included
+    # a drawn state and the residuals of its steps, phantom steps included
     theory, ref_theory = Theory(()), Theory(())
     p = prime_bangs(p, unfold)
     args = (
@@ -236,7 +238,7 @@ def test_drawn_states_fire_as_the_reference(binders, p, unfold):
     )
     state = alpha_canonical(ExtendedProcess(tuple(binders), ID, p))
     for s in _fires_as_the_reference(state, ref_theory, *args):
-        _fires_as_the_reference(s.target, ref_theory, *args)
+        _fires_as_the_reference(s.residual, ref_theory, *args)
 
 
 def test_corpus_states_fire_as_the_reference():
@@ -245,6 +247,7 @@ def test_corpus_states_fire_as_the_reference():
         graph, args = explore(src, case.bounds, case_theory(case))
         ref_theory = case_theory(case)
         for state in graph.states:
+            assert congruence_key(state) == state  # the graph lists representatives
             _fires_as_the_reference(state, ref_theory, *args)
         states += len(graph.states)
     assert states > 500

@@ -1,8 +1,10 @@
 """Every name that a module of the package, a test module or a script
-imports is used in that module, and every private function or class of
-the package is referenced somewhere in it."""
+imports is used in that module, every private function or class of the
+package is referenced somewhere in it, and every function that the
+benchmark's tracer wraps by name exists."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import latspi
@@ -84,3 +86,32 @@ def test_unreferenced_private_definitions_are_found():
         "b": "from . import a\nfrom .a import _imported\nprint(a._read, _imported)\n",
     }
     assert unreferenced_private(sources) == ["a._dead (line 3)"]
+
+
+def traced_names() -> dict[str, tuple[str, ...]]:
+    """``TRACED`` of ``perfbench/tracing.py``, read from its source: layer to
+    the functions, and ``Class.method`` names, that the tracer wraps."""
+    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text())
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Assign) and [ast.unparse(t) for t in stmt.targets] == ["TRACED"]:
+            return ast.literal_eval(stmt.value)
+    raise AssertionError("perfbench/tracing.py has no TRACED table")
+
+
+def test_every_traced_name_resolves():
+    # a function no library path calls, such as ``alpha_canonical``, is
+    # still wrapped by the traced benchmark, which fails once it is gone
+    traced = traced_names()
+    assert traced and all(traced.values())
+    missing = []
+    for layer, names in traced.items():
+        module = importlib.import_module(f"latspi.{layer}")
+        for qual in names:
+            head, _, method = qual.partition(".")
+            found = getattr(module, head, None)
+            if method:
+                # the tracer replaces a method in its class's own namespace
+                found = vars(found).get(method) if isinstance(found, type) else None
+            if not callable(found):
+                missing.append(f"{layer}.{qual}")
+    assert missing == []

@@ -47,7 +47,7 @@ def setup(src, theory=None, bounds=B1):
     p = prime_bangs(parse_process(src), bounds.repl_unfold)
     signature = build_signature(theory, p)
     consts = default_consts(p)
-    return alpha_canonical(from_process(p)), theory, bounds, signature, consts
+    return from_process(p), theory, bounds, signature, consts
 
 
 def events_of(src, **kw):
@@ -59,7 +59,7 @@ def events_of(src, **kw):
 def step_on(A, event_str, theory, bounds, signature, consts):
     for s in enabled_transitions(A, bounds, theory, signature, consts).real_steps:
         if str(s.event) == event_str:
-            return s.target
+            return s.residual
     raise AssertionError(f"event {event_str} not enabled")
 
 
@@ -156,8 +156,8 @@ def test_delivered_secret_stays_apart_from_the_receivers_restriction():
     follow = enabled_transitions(after, bounds, theory, signature, consts)
     (out_step,) = follow.real_steps
     # the delivered secret and the receiver's own restriction stay distinct
-    payload = str(out_step.target)
-    assert "pair(%1, %2)" in payload
+    state = str(representative(out_step.residual, theory))
+    assert state == "new %0,%1,%2.({1l -> pair(%0, %1)} | 0 | 0)"
 
 
 def test_close_renames_apart_two_copies_of_a_replicated_body():
@@ -169,7 +169,7 @@ def test_close_renames_apart_two_copies_of_a_replicated_body():
     states = [str(s) for s in reachable_lts(A, bounds, theory, signature, consts).states]
     rest = "!new %3.(out(c, %3) | in(c, %4).out(%3, %4))"
     assert states[8] == f"new %0,%1.(id | (0 | in(c, %2).out(%0, %2)) | (out(c, %1) | out(%1, %0)) | {rest})"
-    assert states[9] == f"new %0,%1.(id | (out(c, %1) | out(%1, %0)) | (0 | in(c, %2).out(%0, %2)) | {rest})"
+    assert states[9] == f"new %0,%1.(id | (out(c, %0) | out(%0, %1)) | (0 | in(c, %2).out(%1, %2)) | {rest})"
 
 
 # --- reachability and diamonds --------------------------------------------
@@ -211,53 +211,49 @@ def test_commuting_orders_reach_congruent_states():
     assert struct_congruent(ab, ba)
 
 
-# --- lazy canonicalisation ---------------------------------------------------
+# --- representatives ---------------------------------------------------------
 
 
-def test_steps_canonicalise_their_target_on_first_read(monkeypatch):
-    calls = []
-
-    def counting(state):
-        calls.append(state)
-        return alpha_canonical(state)
-
-    monkeypatch.setattr(lts, "alpha_canonical", counting)
-    A, theory, bounds, signature, consts = setup("new k.(out(a, k) | new m.out(b, m) | in(c, x))")
-    tset = enabled_transitions(A, bounds, theory, signature, consts)
-    assert len(tset.steps) > 2 and calls == []  # successors are built raw
-    step = tset.steps[-1]
-    first = step.target
-    assert step.target is first and calls == [step.residual]  # once, then kept
-    assert first == alpha_canonical(step.residual) and "_" not in str(first)
+def test_raw_states_keep_their_free_names_apart_from_their_binders():
+    # the private x and the public x are two names; the transitions of a raw
+    # state are its representative's, so no binder captures a free name
+    A, theory, bounds, signature, consts = setup("new x.out(a,x) | out(b,x)", bounds=B0)
+    after = step_on(A, "(^a(0l), 0[])", theory, bounds, signature, consts)
+    assert str(after) == "new %0.({0l -> %0} | 0 | out(b, x))"
+    states = [str(s) for s in reachable_lts(A, bounds, theory, signature, consts).states]
+    assert states == [
+        "(id | new %0.out(a, %0) | out(b, x))",
+        "new %0.({0l -> %0} | 0 | out(b, x))",
+        "({1l -> x} | new %0.out(a, %0) | 0)",
+        "new %0.({0l -> %0} o {1l -> x} | 0 | 0)",
+    ]
 
 
-def _transitions_on_a_fresh_theory(state, p):
+def _fire_on_a_fresh_theory(state, p):
     theory = Theory(())
-    return enabled_transitions(state, B1, theory, build_signature(theory, p), default_consts(p))
+    return lts._fire(state, B1, theory, build_signature(theory, p), default_consts(p))
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(_names, unique=True, min_size=2, max_size=4), _procs())
-@example(("k", "m"), parse_process("out(a, k) | out(b, m)"))
+# top restrictions in declared order, first used in the other order
+@example(("k", "m"), parse_process("out(a, m) | out(b, k)"))
 @example((), parse_process("new z.(out(c, z) | new a.new x.out(b, x))"))
 def test_class_representatives_have_the_same_transitions(binders, p):
-    # the game expands the representative of a state's congruence class in
-    # its place, so the two must agree step for step up to congruence; top
-    # restrictions in declared order make the two differ
+    # ``enabled_transitions`` fires the representative of a state's class in
+    # its place, so the two must agree step for step up to congruence; the
+    # state is fired as it is, unmemoised
     p = prime_bangs(p, 1)
     A = alpha_canonical(ExtendedProcess(tuple(binders), ID, p))
-    states = [A] + [s.target for s in _transitions_on_a_fresh_theory(A, p).steps]
+    states = [A] + [alpha_canonical(s.residual) for s in _fire_on_a_fresh_theory(A, p).steps]
     for state in states:
-        rep = congruence_key(state)
-        ts = _transitions_on_a_fresh_theory(state, p)
-        tr = _transitions_on_a_fresh_theory(rep, p)
+        ts = _fire_on_a_fresh_theory(state, p)
+        tr = _fire_on_a_fresh_theory(congruence_key(state), p)
         assert [s.event for s in ts.steps] == [s.event for s in tr.steps]
         assert [s.phantom for s in ts.steps] == [s.phantom for s in tr.steps]
         assert ts.tainted == tr.tainted
         for s, r in zip(ts.steps, tr.steps):
             assert congruence_key(s.residual) == congruence_key(r.residual)
-            assert s.target == alpha_canonical(s.residual)
-            assert r.target == alpha_canonical(r.residual)
 
 
 # --- the game graph is acyclic ----------------------------------------------
@@ -304,7 +300,7 @@ def _drawn_plays_raise_the_measure(p, unfold):
     theory, bounds = Theory(()), replace(B1, repl_unfold=unfold)
     p = prime_bangs(p, unfold)
     args = (bounds, theory, build_signature(theory, p), default_consts(p))
-    states = [alpha_canonical(from_process(p))]
+    states = [from_process(p)]
     for _ in range(2):
         states = [r for state in states for r in _successors_raise_the_measure(state, *args)]
 

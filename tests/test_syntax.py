@@ -16,6 +16,7 @@ from latspi.syntax import (
     Nil,
     Out,
     Par,
+    ParseDepthExceeded,
     ParseError,
     Process,
     Sum,
@@ -31,7 +32,7 @@ from latspi.syntax import (
     to_text,
 )
 from latspi.lts import TauLabel
-from latspi.terms import ID, Alias, App, Substitution, Symbol, Var, app, msg_key
+from latspi.terms import ID, Alias, App, ResourceLimitExceeded, Substitution, Symbol, Var, app, msg_key
 
 
 # --- parsing and printing --------------------------------------------------
@@ -67,6 +68,21 @@ def test_sum_requires_guards():
         parse_process("new x.out(a, x) + out(b, b)")
     with pytest.raises(ParseError):
         parse_process("(out(a, a) | out(b, b)) + out(c, c)")
+
+
+def test_deep_nesting_is_a_resource_limit():
+    # 3000 nested prefixes, parentheses or function applications are deeper
+    # than the recursive parser can go; library callers get a typed error
+    chain = ".".join(f"in(a, x{i})" for i in range(3000))
+    parens = "(" * 3000 + "0" + ")" * 3000
+    term = "out(a, " + "h(" * 3000 + "m" + ")" * 3000 + ")"
+    for src in (chain, parens, term):
+        with pytest.raises(ParseDepthExceeded):
+            parse_process(src)
+        with pytest.raises(ParseDepthExceeded):
+            parse_pi_file(f"let P = {src}\nP | 0")
+    assert issubclass(ParseDepthExceeded, ResourceLimitExceeded)
+    assert not issubclass(ParseDepthExceeded, ParseError)  # the CLI reports it as a resource limit
 
 
 def test_omitted_nil_continuation():
