@@ -1,11 +1,13 @@
 """Command-line surface.
 
 Subcommands: ``parse``, ``lts``, ``indep``, ``static-equiv``, ``check``,
-``diamonds``, ``corpus``, ``explain``.  Exit codes for decision commands:
-0 when the queried property holds (Related / equivalent / no violations),
-1 when refuted, 2 on errors, a recipe, rewrite, recursion, memory or
-``indep`` pair limit hit included.  Each command builds its own theory,
-which owns every cache.
+``spectrum``, ``diamonds``, ``corpus``, ``explain``.  Exit codes for
+decision commands: 0 when the queried property holds (Related / equivalent
+/ no violations), 1 when refuted, 2 on errors, a recipe, rewrite, recursion,
+memory or ``indep`` pair limit hit included.  ``spectrum`` decides every
+relation on one pair and exits 0, or 2 on an error or when its verdicts
+break a proved edge of ``games.ORDER``, which would be an internal error.
+Each command builds its own theory, which owns every cache.
 """
 
 from __future__ import annotations
@@ -14,10 +16,12 @@ import argparse
 import json
 import re
 import sys
+import time
 from dataclasses import asdict
 
 from . import corpus as corpus_mod
 from .games import (
+    ORDER,
     FailureNode,
     LeadNode,
     Rel,
@@ -51,6 +55,7 @@ from .terms import (
     Theory,
     TheoryError,
     dolev_yao,
+    free_aliases,
     free_vars,
     msg_symbols,
     parse_message,
@@ -183,6 +188,8 @@ def load_frame(path: str):
         lhs, _, rhs = ln.partition("=")
         alias = _parse_alias(lhs.strip())
         term = _aliasify(rename_vars(parse_message(rhs.strip()), private))
+        if free_aliases(term):
+            raise CliError(f"malformed frame line: {ln!r}: a frame term cannot mention an alias")
         subst = subst.extend(alias, term)
     return subst
 
@@ -367,6 +374,29 @@ def cmd_check(args) -> int:
     return 0 if verdict.related else 1
 
 
+def cmd_spectrum(args) -> int:
+    theory, bounds = load_theory(args.theory), parse_bounds(args.bounds)
+    left, right = load_process(args.left), load_process(args.right)
+    classes, rows = {}, []
+    for rel in Rel:
+        t0 = time.perf_counter()
+        cls = classes[rel] = corpus_mod.verdict_class(check(rel, left, right, bounds, theory))
+        rows.append(f"{rel.value:<12} {cls:<16} {time.perf_counter() - t0:6.2f}s")
+    data = {"classes": {rel.value: cls for rel, cls in classes.items()}}
+    print(json.dumps(data, indent=2) if args.format == "json" else "\n".join(rows))
+    # under equal bounds an uncut finer verdict cannot meet a distinguished
+    # coarser one (the proofs are in the ``games`` docstring)
+    exact, distinguished = corpus_mod.RELATED_EXACT, corpus_mod.DISTINGUISHED
+    broken = [
+        f"{finer.value} => {coarser.value}"
+        for finer, coarser, proved in ORDER
+        if proved and (classes[finer], classes[coarser]) == (exact, distinguished)
+    ]
+    if broken:
+        raise CliError(f"internal error: the verdicts break proved order edges: {', '.join(broken)}")
+    return 0
+
+
 def cmd_diamonds(args) -> int:
     p, theory, bounds, signature, consts = _explore(args)
     graph = reachable_lts(from_process(p), bounds, theory, signature, consts)
@@ -510,6 +540,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--witness", help="write the distinguishing strategy tree to a JSON file")
     _add_common(sp)
     sp.set_defaults(fn=cmd_check)
+
+    sp = sub.add_parser("spectrum", help="decide every relation between two processes")
+    sp.add_argument("left")
+    sp.add_argument("right")
+    _add_common(sp)
+    sp.set_defaults(fn=cmd_spectrum)
 
     sp = sub.add_parser("diamonds", help="check commutation of independent transitions")
     sp.add_argument("file")

@@ -61,6 +61,48 @@ within the maximal successor's pair set; by induction on ``k`` and the
 lemma, a leader who may choose subsets wins within ``k`` rounds exactly
 where maximal retention does, so the rule is the whole of ST.
 
+The spectrum is ordered.  Each edge ``(finer, coarser, proved)`` of
+``ORDER`` says that a pair related under ``finer`` is related under
+``coarser``: every leader win of the ``coarser`` game within ``k`` rounds is
+a leader win of the ``finer`` game within ``k`` rounds.  The lemma extends
+across two relations with the same static test.  Take states and ``rho``
+shared, a pair set ``P`` of the coarser game and ``P′ ⊇ P`` of the finer
+one.  Suppose every leader move open in the coarser game is open in the
+finer one, and that from ``P′`` the finer ``Checker.rule`` yields a superset
+of the demands and of the kept pairs that the coarser one yields from
+``P``.  Then the lemma's induction applies unchanged: an answer legal in
+the finer game is legal in the coarser one and reaches a larger pair set.
+The proved edges, read from ``Checker.rule``:
+
+- HP ⇒ ST ⇒ interleaving, for ``sim`` and ``bisim``, and HP ⇒ ST for
+  ``fsim``.  The interleaving discipline demands and keeps nothing.  ST
+  demands independence for each pair whose leader side is independent of
+  the move, and keeps those pairs.  HP demands the same bit for every pair
+  of ``P′ ⊇ P``, so for each of those too, and keeps every independent
+  pair of ``P′``.  Both read ``indep_event``.  In ``fsim`` the failure
+  round is the lemma's third case: fewer answers under more demands.
+- ``ifull`` ⇒ HP, for ``sim`` and ``bisim``.  Both read ``indep_event`` and
+  demand the bit for every pair; ``ifull`` keeps every pair, HP the
+  independent ones.
+- ``bisim`` ⇒ ``sim`` in each of the five disciplines, and ``fsim`` ⇒
+  ``sim`` under ST and HP.  One rule; the finer relation only adds leader
+  moves, right-led rounds or the failure round.
+- ``bisim`` ⇒ ``fsim`` under ST and HP.  A failure-round win is a real
+  right step that no left step answers under ``rule(cfg, "right", ·)``.
+  The bisimulation game lets the leader play that step, under the same
+  rule, and the follower has no answer.  Every other ``fsim`` move is a
+  left-led round, open in the bisimulation game too.
+- ``sim-i`` ⇒ ``presim-i``.  One rule and one leader; the one-way static
+  test scans the same recipe pairs as the two-way one, so a test that holds
+  on the left only refutes both.
+
+Each argument maps the coarser game's win onto the same transition sets
+and no more rounds.  So under equal bounds a finer verdict that no bound
+cut, ``RELATED_EXACT``, never meets a coarser ``DISTINGUISHED``;
+``lats-pi spectrum`` exits 2 if it does.  ``iloc`` ⇒ ``ifull`` is only
+observed: ``iloc`` reads ``indep_loc``, so its demands are other demands,
+not more of them, and the lemma does not apply.
+
 The game graph is acyclic: no configuration recurs on a search path, so the
 search keeps no record of the configurations it has open.  Measure a
 process by two counts: ``A``, its ``Par`` nodes at active positions, meaning
@@ -131,38 +173,55 @@ from .terms import AliasMap, ID_ALIAS, Symbol, Theory
 
 
 class Rel(Enum):
-    PRESIM_I = "presim-i"
-    SIM_I = "sim-i"
-    BISIM_I = "bisim-i"
-    SIM_ST = "sim-st"
-    BISIM_ST = "bisim-st"
-    SIM_HP = "sim-hp"
-    BISIM_HP = "bisim-hp"
-    FSIM_ST = "fsim-st"
-    FSIM_HP = "fsim-hp"
-    SIM_ILOC = "sim-iloc"
-    BISIM_ILOC = "bisim-iloc"
-    SIM_IFULL = "sim-ifull"
-    BISIM_IFULL = "bisim-ifull"
+    """The relations of the spectrum.  A member's value is its command-line
+    name; the rest of its definition declares the traits ``Checker`` reads:
+    whether both sides may lead, whether the failure round is open, the
+    reply rule's pair discipline (``none``, ``st``, ``hp`` or ``ind``; see
+    ``Checker.rule``), whether independence compares locations alone, and
+    whether the static test runs one way only."""
 
-    @property
-    def is_bisim(self) -> bool:
-        return self in (Rel.BISIM_I, Rel.BISIM_ST, Rel.BISIM_HP, Rel.BISIM_ILOC, Rel.BISIM_IFULL)
+    # (value, both_lead, failure_round, discipline, loc_indep, one_way)
+    PRESIM_I = ("presim-i", False, False, "none", False, True)
+    SIM_I = ("sim-i", False, False, "none", False, False)
+    BISIM_I = ("bisim-i", True, False, "none", False, False)
+    SIM_ST = ("sim-st", False, False, "st", False, False)
+    BISIM_ST = ("bisim-st", True, False, "st", False, False)
+    SIM_HP = ("sim-hp", False, False, "hp", False, False)
+    BISIM_HP = ("bisim-hp", True, False, "hp", False, False)
+    FSIM_ST = ("fsim-st", False, True, "st", False, False)
+    FSIM_HP = ("fsim-hp", False, True, "hp", False, False)
+    SIM_ILOC = ("sim-iloc", False, False, "ind", True, False)
+    BISIM_ILOC = ("bisim-iloc", True, False, "ind", True, False)
+    SIM_IFULL = ("sim-ifull", False, False, "ind", False, False)
+    BISIM_IFULL = ("bisim-ifull", True, False, "ind", False, False)
 
-    @property
-    def has_failure_round(self) -> bool:
-        return self in (Rel.FSIM_ST, Rel.FSIM_HP)
+    def __new__(cls, value, both_lead, failure_round, discipline, loc_indep, one_way):
+        member = object.__new__(cls)
+        member._value_ = value
+        member.both_lead, member.failure_round = both_lead, failure_round
+        member.discipline, member.loc_indep, member.one_way = discipline, loc_indep, one_way
+        return member
 
-    @property
-    def family(self) -> str:
-        """The reply rule's pair discipline: none, st, hp or ind."""
-        if self in (Rel.PRESIM_I, Rel.SIM_I, Rel.BISIM_I):
-            return "none"
-        if self in (Rel.SIM_ST, Rel.BISIM_ST, Rel.FSIM_ST):
-            return "st"
-        if self in (Rel.SIM_HP, Rel.BISIM_HP, Rel.FSIM_HP):
-            return "hp"
-        return "ind"
+
+# ``(finer, coarser, proved)``: a pair related under ``finer`` is related
+# under ``coarser``.  The module docstring proves each proved edge from
+# ``Checker.rule``; the others are observed on the corpus only.
+ORDER = (
+    # the one-way static test
+    (Rel.SIM_I, Rel.PRESIM_I, True),
+    # HP ⇒ ST ⇒ interleaving, and ifull ⇒ HP: more demands and kept pairs
+    (Rel.SIM_HP, Rel.SIM_ST, True), (Rel.SIM_ST, Rel.SIM_I, True), (Rel.FSIM_HP, Rel.FSIM_ST, True),
+    (Rel.BISIM_HP, Rel.BISIM_ST, True), (Rel.BISIM_ST, Rel.BISIM_I, True),
+    (Rel.SIM_IFULL, Rel.SIM_HP, True), (Rel.BISIM_IFULL, Rel.BISIM_HP, True),
+    # more leader moves under one rule
+    (Rel.BISIM_I, Rel.SIM_I, True), (Rel.BISIM_ST, Rel.SIM_ST, True), (Rel.BISIM_HP, Rel.SIM_HP, True),
+    (Rel.BISIM_ILOC, Rel.SIM_ILOC, True), (Rel.BISIM_IFULL, Rel.SIM_IFULL, True),
+    (Rel.FSIM_ST, Rel.SIM_ST, True), (Rel.FSIM_HP, Rel.SIM_HP, True),
+    # a failure-round win is a right-led win
+    (Rel.BISIM_ST, Rel.FSIM_ST, True), (Rel.BISIM_HP, Rel.FSIM_HP, True),
+    # other independence tests
+    (Rel.SIM_ILOC, Rel.SIM_IFULL, False), (Rel.BISIM_ILOC, Rel.BISIM_IFULL, False),
+)
 
 
 @dataclass(frozen=True)
@@ -223,16 +282,16 @@ class Checker:
         signature: tuple[Symbol, ...],
         consts: frozenset[str],
     ):
-        self.rel = rel
         # the relation's traits, read once here: ``rule`` runs on every move
-        self.family = rel.family
-        self.is_bisim = rel.is_bisim
-        self.has_failure_round = rel.has_failure_round
+        self.sides = ("left", "right") if rel.both_lead else ("left",)
+        self.failure_round = rel.failure_round
+        self.discipline = rel.discipline
+        self.static_test = static_impl_witness if rel.one_way else static_equiv_witness
         self.theory = theory
         self.bounds = bounds
         self.signature = signature
         self.consts = consts
-        if rel in (Rel.SIM_ILOC, Rel.BISIM_ILOC):
+        if rel.loc_indep:
             self.indep_table = theory.indep_locs
             self.indep_test = lambda e0, e1: indep_loc(e0.loc, e1.loc)
         else:
@@ -262,10 +321,9 @@ class Checker:
 
     def static_witness(self, cfg: GameConfig) -> StaticWitness | None:
         """The static test of the configuration's frames, up to ``rho``:
-        one-directional for ``presim-i``, both ways otherwise."""
-        test = static_impl_witness if self.rel is Rel.PRESIM_I else static_equiv_witness
+        one way or both, as the relation declares."""
         left, right, depth = cfg.left.frame, cfg.right.frame, self.bounds.static_depth
-        return test(left, right, cfg.rho, self.consts, self.signature, depth, self.theory)
+        return self.static_test(left, right, cfg.rho, self.consts, self.signature, depth, self.theory)
 
     def match_label(self, left_action, right_action, rho: AliasMap) -> AliasMap | None:
         """Extension of ``rho`` under which the left label maps onto the
@@ -291,16 +349,16 @@ class Checker:
         """``(demands, kept)`` for the leader's move of event ``eid`` on
         ``side``, under maximal retention; ``kept`` is ``None`` when the
         relation remembers no pairs."""
-        family = self.family
-        if family == "none":
+        discipline = self.discipline
+        if discipline == "none":
             return (), None
         j = 0 if side == "left" else 1
         demands, kept = [], []
         for p in cfg.pairs:
             bit = self.indep(p[j], eid)
-            if bit or family != "st":
+            if bit or discipline != "st":
                 demands.append((p[1 - j], bit))
-            if bit or family == "ind":
+            if bit or discipline == "ind":
                 kept.append(p)
         return demands, kept
 
@@ -378,12 +436,11 @@ class Checker:
                 tset = tsets[side] = self.transitions(cfg.left if side == "left" else cfg.right)
             return tset
 
-        if self.has_failure_round:
+        if self.failure_round:
             fnode = self.failure_witness(cfg, fetch("left"), fetch("right"))
             if fnode is not None:
                 return fnode
-        sides = ("left", "right") if self.is_bisim else ("left",)
-        for side in sides:
+        for side in self.sides:
             follower = "right" if side == "left" else "left"
             for step in fetch(side).real_steps:
                 ctx = self.rule(cfg, side, step.eid)
@@ -468,7 +525,7 @@ def _replay_node(checker: Checker, cfg: GameConfig, node) -> bool:
             and w.holds_right == node.holds_right
         )
     if isinstance(node, FailureNode):
-        if not checker.has_failure_round or checker.static_witness(cfg) is not None:
+        if not checker.failure_round or checker.static_witness(cfg) is not None:
             return False
         left, right = checker.transitions(cfg.left), checker.transitions(cfg.right)
         fnode = checker.failure_witness(cfg, left, right)
@@ -476,7 +533,7 @@ def _replay_node(checker: Checker, cfg: GameConfig, node) -> bool:
     if isinstance(node, LeadNode):
         if checker.static_witness(cfg) is not None:
             return False
-        if node.side == "right" and not checker.is_bisim:
+        if node.side not in checker.sides:
             return False
         leader, follower = (cfg.left, cfg.right) if node.side == "left" else (cfg.right, cfg.left)
         for step in checker.transitions(leader).real_steps:

@@ -28,7 +28,7 @@ class ExhaustiveST(Checker):
         subset of its kept pairs, the empty subset first; otherwise the
         rule's.  Under ST each kept pair has exactly one demand."""
         demands, kept = self.rule(cfg, side, eid)
-        if self.rel.family != "st":
+        if self.discipline != "st":
             yield demands, kept
             return
         for mask in range(1 << len(kept)):
@@ -40,11 +40,11 @@ class ExhaustiveST(Checker):
         if w is not None:
             return StaticNode(w.m, w.n, w.holds_left, w.holds_right)
         tsets = {"left": self.transitions(cfg.left), "right": self.transitions(cfg.right)}
-        if self.rel.has_failure_round:
+        if self.failure_round:
             fnode = self.failure_witness(cfg, tsets["left"], tsets["right"])
             if fnode is not None:
                 return fnode
-        for side in ("left", "right") if self.rel.is_bisim else ("left",):
+        for side in self.sides:
             answers = tsets["right" if side == "left" else "left"].steps
             for step in tsets[side].real_steps:
                 for ctx in self.contexts(cfg, side, step.eid):

@@ -2,12 +2,14 @@
 
 import json
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import latspi
 from latspi.cli import PairLimitExceeded, main, parse_bounds
+from latspi.games import Rel
 from latspi.knowledge import RecipeLimitExceeded
 from latspi.lts import ExplorationBounds
 from latspi.syntax import ParseDepthExceeded
@@ -190,6 +192,26 @@ def test_static_equiv_public_vs_private(files, capsys):
     assert json.loads(out) == {"test": "l = x", "holds_left": True, "holds_right": False}
 
 
+@pytest.mark.parametrize(
+    "content, error",
+    [
+        ("0l a\n", "malformed frame line: '0l a'"),
+        ("0x = a\n", "malformed alias: '0x'"),
+        ("0l = a\n0l = b\n", "alias 0l already bound"),
+        # a frame's image holds no alias, or the frame fails its own tests
+        ("0l = a\n1l = f(0l)\n", "malformed frame line: '1l = f(0l)'"),
+    ],
+    ids=["without-equals", "bad-alias", "repeated-alias", "alias-in-term"],
+)
+def test_static_equiv_malformed_frame_exits_two(files, capsys, content, error):
+    bad = files("bad.frame", content)
+    good = files("good.frame", "0l = a\n1l = f(a)\n")
+    for argv in ([bad, good], [bad, good, "--test", "1l = f(0l)"]):
+        code, out, err = run(capsys, "static-equiv", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and error in err
+
+
 # --- check -----------------------------------------------------------------
 
 
@@ -233,6 +255,32 @@ def test_check_theory_file(files, capsys):
     l = files("l.pi", "new m.out(a, wrap(m))")
     code, out, _ = run(capsys, "check", "sim-i", l, l, "--theory", t, "--bounds", "depth=1")
     assert code == 0
+
+
+# --- spectrum --------------------------------------------------------------
+
+
+def test_spectrum_json_lists_every_relation(files, capsys):
+    l = files("l.pi", "out(a, m)")
+    code, out, _ = run(capsys, "spectrum", l, l, "--bounds", "depth=0", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"classes": {rel.value: "RELATED_EXACT" for rel in Rel}}
+
+
+def test_spectrum_exits_two_when_a_proved_edge_breaks(files, capsys, monkeypatch):
+    # presim-i is coarser than sim-i, so sim-i related exactly and presim-i
+    # distinguished can only be an internal error
+    decide = latspi.cli.check
+
+    def check(rel, *args):
+        verdict = decide(rel, *args)
+        return replace(verdict, related=False) if rel is Rel.PRESIM_I else verdict
+
+    monkeypatch.setattr(latspi.cli, "check", check)
+    l = files("l.pi", "out(a, m)")
+    code, out, err = run(capsys, "spectrum", l, l, "--bounds", "depth=0")
+    assert code == 2 and len(out.splitlines()) == 13
+    assert err == "error: internal error: the verdicts break proved order edges: sim-i => presim-i\n"
 
 
 # --- diamonds / corpus -----------------------------------------------------

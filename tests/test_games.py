@@ -12,7 +12,15 @@ import pytest
 
 from latspi import games, lts
 from latspi.cli import load_theory, witness_to_json
-from latspi.corpus import DISTINGUISHED, RELATED_BOUNDED, case_theory, load_corpus, run_case, verdict_class
+from latspi.corpus import (
+    DISTINGUISHED,
+    RELATED_BOUNDED,
+    RELATED_EXACT,
+    case_theory,
+    load_corpus,
+    run_case,
+    verdict_class,
+)
 from latspi.games import (
     Checker,
     FailureNode,
@@ -249,6 +257,51 @@ def test_game_depth_taint():
         bounds=ExplorationBounds(recipe_depth=0, static_depth=0, repl_unfold=1, game_depth=2),
     )
     assert v.related and not v.exact  # cut off before the game finished
+
+
+_UNTAINTED_CUT = "ROADMAP item 1: a recipe or static depth that cuts enumeration does not taint"
+
+
+@pytest.mark.parametrize(
+    "left, right, bounds, theory, expected",
+    [
+        pytest.param(
+            # distinguished at static=1
+            "new x,y.out(a,pair(x,y))",
+            "new x.out(a,pair(x,x))",
+            ExplorationBounds(recipe_depth=0, static_depth=0),
+            "dolev-yao",
+            RELATED_BOUNDED,
+            marks=pytest.mark.xfail(strict=True, reason=_UNTAINTED_CUT),
+            id="static-depth-cut",
+        ),
+        pytest.param(
+            # distinguished at depth=1
+            "in(a,x).[x = pair(c,c)] out(b,c)",
+            "in(a,x)",
+            ExplorationBounds(recipe_depth=0, static_depth=0),
+            "dolev-yao",
+            RELATED_BOUNDED,
+            marks=pytest.mark.xfail(strict=True, reason=_UNTAINTED_CUT),
+            id="recipe-depth-cut",
+        ),
+        pytest.param(
+            # the play ends after two rounds, exactly at the cut
+            "out(a,m).out(a,m)",
+            "out(a,m).out(a,m)",
+            ExplorationBounds(game_depth=2),
+            "empty",
+            RELATED_EXACT,
+            marks=pytest.mark.xfail(
+                strict=True, reason="ROADMAP item 14: a play that ends at the game cut is tainted"
+            ),
+            id="play-ends-at-the-cut",
+        ),
+    ],
+)
+def test_verdict_class_names_the_cut(left, right, bounds, theory, expected):
+    v = V(Rel.BISIM_I, left, right, bounds=bounds, theory=load_theory(theory))
+    assert verdict_class(v) == expected
 
 
 # --- one theory, one cache scope -------------------------------------------

@@ -1,7 +1,7 @@
-"""Every name that a module of the package, a test module or a script
-imports is used in that module, every private function or class of the
-package is referenced somewhere in it, and every function that the
-benchmark's tracer wraps by name exists."""
+"""Every name that a module of the package or a test module imports is
+used in that module, every private function or class of the package is
+referenced somewhere in it, and every function that the benchmark's tracer
+wraps by name exists."""
 
 import ast
 import importlib
@@ -31,7 +31,7 @@ def unused_imports(source: str) -> list[str]:
 def test_no_unused_imports():
     # the package's __init__ imports names only to re-export them
     paths = [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"]
-    paths += sorted(ROOT.glob("tests/*.py")) + sorted(ROOT.glob("scripts/*.py"))
+    paths += sorted(ROOT.glob("tests/*.py"))
     found = {str(path): names for path in paths if (names := unused_imports(path.read_text()))}
     assert found == {}
 
