@@ -57,6 +57,7 @@ from .terms import (
     dolev_yao,
     free_aliases,
     free_vars,
+    msg_key,
     msg_symbols,
     parse_message,
     parse_theory,
@@ -315,6 +316,13 @@ def cmd_static_equiv(args) -> int:
         lhs, _, rhs = args.test.partition("=")
         m = _aliasify(parse_message(lhs.strip()))
         n = _aliasify(parse_message(rhs.strip()))
+        # an alias a frame does not bind stays opaque there, and the test
+        # would read as failing rather than as malformed
+        for a in sorted(free_aliases(m) | free_aliases(n), key=msg_key):
+            unbound = [side for side, frame in (("left", left), ("right", right)) if a not in frame.mapping]
+            if unbound:
+                which = "neither frame binds" if len(unbound) == 2 else f"the {unbound[0]} frame does not bind"
+                raise CliError(f"--test mentions alias {a}, which {which}")
         holds_l = satisfies(left, m, n, theory)
         holds_r = satisfies(right, m, n, theory)
         data = {"test": args.test, "holds_left": holds_l, "holds_right": holds_r}

@@ -33,11 +33,12 @@ search; phantom steps taint the verdict too.  Configurations are memoized
 on the ids of the congruence classes of their two states, which the theory
 interns (``lts.state_class``), so each distinct state is canonicalised once
 however many checks share the theory.
-Successor configurations hold the raw residuals of the moves that reach
-them; a configuration is decided, and replayed, on the representatives of
-its two classes, so a successor is canonicalised only when the search
-visits it, and transitions and frame partitions are computed once per
-class.
+Successor configurations hold the residuals of the moves that reach them:
+class keys after an input, which ``lts`` keys once per input firing, and
+raw states otherwise.  A configuration is decided, and replayed, on the
+representatives of its two classes, so a raw successor is canonicalised
+only when the search visits it, and transitions and frame partitions are
+computed once per class.
 
 Maximal retention is optimal.  Take two configurations with the same states
 and the same ``rho``, and pair sets ``P ⊆ P′``.  Every leader win from ``P``
@@ -146,7 +147,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .independence import indep_event, indep_loc
+from .independence import indep_event, indep_ids, indep_loc
 from .knowledge import StaticWitness, static_equiv_witness, static_impl_witness
 from .lts import (
     Event,
@@ -312,12 +313,7 @@ class Checker:
         """Independence of a remembered event ``i`` and a new event ``j``,
         given by id and decided once per theory: of their locations alone
         under ``iloc``, of the events otherwise."""
-        table = self.indep_table
-        hit = table.get((i, j))
-        if hit is None:
-            events = self.theory.events
-            hit = table[i, j] = self.indep_test(events[i], events[j])
-        return hit
+        return indep_ids(self.indep_table, self.indep_test, self.theory.events, i, j)
 
     def static_witness(self, cfg: GameConfig) -> StaticWitness | None:
         """The static test of the configuration's frames, up to ``rho``:

@@ -43,3 +43,13 @@ def indep_event(e0: Event, e1: Event) -> bool:
     if isinstance(e1.action, OutLabel) and e1.action.alias in label_aliases(e0.action):
         return False
     return True
+
+
+def indep_ids(table: dict, test, events: list, i: int, j: int) -> bool:
+    """``test`` of the events with ids ``i`` and ``j``, ``events`` being a
+    theory's id -> event list (``lts.event_id``), decided once per pair of
+    ids: ``table`` keeps each answer."""
+    hit = table.get((i, j))
+    if hit is None:
+        hit = table[i, j] = test(events[i], events[j])
+    return hit

@@ -9,14 +9,34 @@ structural firings into environment-facing events: output payloads are
 hidden behind located aliases extending the frame, and channels and input
 payloads become recipes over the frame domain and the public names.
 
-Successors are built raw: a ``Step`` carries its ``residual`` with the
-transition-local binder names the structural layer chose, since a search
-stops at its first answer or refutation and reads few successors.  The
-theory interns congruence classes (``state_class``) and keeps one
+The theory interns congruence classes (``state_class``) and keeps one
 representative per class, its congruence key.  ``enabled_transitions``
 accepts any state, fires the representative of its class and caches the
 result per class.  The game expands representatives, ``reachable_lts``
 lists them as its states, and ``diamond_check`` compares endpoints by class.
+The successors of outputs and silent steps are built raw: a ``Step``
+carries its ``residual`` with the transition-local binder names the
+structural layer chose, and it is canonicalised only when a search reads
+it.  A frame's recipes, their images and the recipes of each image are
+listed once per frame (``frame_recipes``).
+
+An input fires once per payload recipe, so one input firing has a successor
+per recipe, and they differ only in the payload.  Each is a class key at
+birth, and the firing is canonicalised once: ``_input_residuals`` renames
+the bound variable to the reserved ``HOLE``, takes the congruence key of
+``new binders.(frame | cont)``, and fills the hole with each payload's
+normalised image.  Filling the key is keying the filled state.
+``congruence_key`` numbers the top binders by first use, in the frame and
+then in the body, and the body's binders on from there.  The input leaves
+the representative's frame as it is, and the frame is walked first, so the
+key names the frame's top binders as the representative does, and so as the
+images do.  An image's names are frame names or public names, so it adds no
+binder and no first use of a top binder, and the rest of the numbering does
+not move.  The hole needs a name of its own: the bound variable, a body
+binder ``%k`` of the representative, could share its name with a binder
+that the key names ``%k``, and filling would then rewrite that binder too.
+Each filled key is registered through the path ``state_class`` takes for a
+congruence key, and the step carries the class's representative.
 
 Only representatives are fired, and the structural layer relies on their
 invariant: ``congruence_key`` numbers every binder of the body from one
@@ -422,7 +442,8 @@ def fresh_alias(prefix: str, domain: frozenset[Alias]) -> Alias:
 @dataclass(frozen=True)
 class Step:
     """One transition; ``eid`` is the event's id in the theory's table and
-    ``residual`` the successor as built."""
+    ``residual`` the successor: its class representative after an input,
+    the successor as built otherwise."""
 
     event: Event
     eid: int
@@ -453,8 +474,9 @@ def enabled_transitions(
 
     Channels and input payloads range over recipes up to
     ``bounds.recipe_depth``; each output extends the frame at an alias
-    rooted at the firing location's parallel prefix.  The steps carry raw
-    residuals and their events' ids."""
+    rooted at the firing location's parallel prefix.  The steps carry their
+    events' ids, and input steps carry class keys (see the module
+    docstring)."""
     cid = state_class(A, theory)
     cache = theory.enabled
     key = (cid, bounds, signature, consts)
@@ -464,20 +486,32 @@ def enabled_transitions(
     return hit
 
 
+def frame_recipes(frame, consts: frozenset[str], signature: tuple[Symbol, ...], depth: int, theory: Theory):
+    """``(recipes, images, by_image)`` of the frame: its recipes up to
+    ``depth`` (``knowledge.recipe_enum``), their normalised images under
+    the frame, and each image's recipes in enumeration order.  Computed once
+    per (frame, consts, signature, depth) per theory; representatives with
+    equal frames share one frame object, so a lookup finds it by identity."""
+    table = theory.frame_recipes
+    key = (frame, consts, signature, depth)
+    hit = table.get(key)
+    if hit is None:
+        recipes = knowledge.recipe_enum(frame.domain, consts, signature, depth, theory)
+        images = [theory.normalize(apply_msg_subst(r, frame)) for r in recipes]
+        by_image: dict[Message, list] = {}
+        for r, img in zip(recipes, images):
+            by_image.setdefault(img, []).append(r)
+        hit = table[key] = (recipes, images, by_image)
+    return hit
+
+
 def _fire(A: ExtendedProcess, bounds, theory: Theory, signature, consts) -> TransitionSet:
-    """``enabled_transitions`` of ``A`` computed afresh.  The binders of
-    ``A`` must be pairwise distinct, and none may be a top binder or a free
-    name, as in a representative (see the module docstring)."""
+    """``enabled_transitions`` of the representative ``A`` computed afresh.
+    ``A`` must be a congruence key: the structural layer relies on its
+    binders, and ``_input_residuals`` on its frame (see the module
+    docstring)."""
     ts, tainted = proc_transitions(A.body, theory)
-    recipes = knowledge.recipe_enum(
-        A.frame.domain, consts, signature, bounds.recipe_depth, theory
-    )
-    images = [theory.normalize(apply_msg_subst(r, A.frame)) for r in recipes]
-
-    def chan_recipes(chan: Message):
-        chan_nf = theory.normalize(chan)
-        return [r for r, img in zip(recipes, images) if img == chan_nf]
-
+    recipes, images, by_image = frame_recipes(A.frame, consts, signature, bounds.recipe_depth, theory)
     steps: list[Step] = []
     for t in ts:
         binders = A.binders + t.binders
@@ -485,17 +519,14 @@ def _fire(A: ExtendedProcess, bounds, theory: Theory, signature, consts) -> Tran
             alias = fresh_alias(t.loc.prefix, A.frame.domain)
             frame2 = A.frame.extend(alias, theory.normalize(t.payload))
             residual = ExtendedProcess(binders, frame2, t.cont)
-            for m in chan_recipes(t.chan):
+            for m in by_image.get(theory.normalize(t.chan), ()):
                 e = Event(OutLabel(m, alias), t.loc)
                 steps.append(Step(e, event_id(e, theory), residual, t.phantom))
         elif isinstance(t, PIn):
-            chans = chan_recipes(t.chan)
+            chans = by_image.get(theory.normalize(t.chan))
             if not chans:
                 continue
-            residuals = [
-                ExtendedProcess(binders, A.frame, subst_proc(t.cont, {t.binder: img}))
-                for img in images
-            ]
+            residuals = _input_residuals(A, binders, t, images, theory)
             for m in chans:
                 for n, residual in zip(recipes, residuals):
                     e = Event(InLabel(m, n), t.loc)
@@ -510,25 +541,52 @@ def _fire(A: ExtendedProcess, bounds, theory: Theory, signature, consts) -> Tran
     return TransitionSet(steps, tainted)
 
 
+# the name an input's bound variable takes while its firing is keyed: no
+# parsed name, canonical binder ``%i`` or fresh name ``_i`` has it
+HOLE = "%in"
+_HOLE_VAR = Var(HOLE)
+
+
+def _input_residuals(A: ExtendedProcess, binders, t: PIn, images, theory: Theory) -> list:
+    """The residuals of the input firing ``t`` of the representative ``A``
+    under ``binders``, one per payload image: each the class key, registered
+    in the theory, of ``new binders.(A.frame | t.cont)`` with the image for
+    ``t.binder``.  The firing is keyed once, with the bound variable renamed
+    to the hole, and the hole is filled per image (see the module
+    docstring)."""
+    key = congruence_key(ExtendedProcess(binders, A.frame, subst_proc(t.cont, {t.binder: _HOLE_VAR})))
+    residuals = []
+    for img in images:
+        filled = ExtendedProcess(key.binders, A.frame, subst_proc(key.body, {HOLE: img}))
+        residuals.append(theory.reps[_key_class(filled, theory)])
+    return residuals
+
+
 def state_class(state: ExtendedProcess, theory: Theory) -> int:
     """Id of the state's congruence class.  The theory's table maps each
     state, and each congruence key (a fixed point of ``congruence_key``),
-    to the id, so every distinct state is canonicalised once per theory;
+    to the id, so every distinct state is canonicalised once per theory,
+    and an input residual, a key at birth (``_input_residuals``), never;
     ``theory.reps[id]`` is the class's key, its representative."""
-    classes = theory.classes
-    i = classes.get(state)
+    i = theory.classes.get(state)
     if i is None:
-        key = congruence_key(state)
-        i = classes.get(key)
-        if i is None:
-            # representatives with equal frames share one frame object, so
-            # that the static tests' frame lookups find it by identity
-            frame = theory.rep_frames.setdefault(key.frame, key.frame)
-            if frame is not key.frame:
-                key = ExtendedProcess(key.binders, frame, key.body)
-            i = classes[key] = len(theory.reps)
-            theory.reps.append(key)
-        classes[state] = i
+        i = theory.classes[state] = _key_class(congruence_key(state), theory)
+    return i
+
+
+def _key_class(key: ExtendedProcess, theory: Theory) -> int:
+    """Id of the class whose congruence key is ``key``, registered on first
+    sight.  Representatives with equal frames share one frame object, so
+    that the frame tables (``frame_recipes``, the static tests' frame
+    lookups) find it by identity."""
+    classes = theory.classes
+    i = classes.get(key)
+    if i is None:
+        frame = theory.rep_frames.setdefault(key.frame, key.frame)
+        if frame is not key.frame:
+            key = ExtendedProcess(key.binders, frame, key.body)
+        i = classes[key] = len(theory.reps)
+        theory.reps.append(key)
     return i
 
 
@@ -618,11 +676,15 @@ def diamond_check(
     The successor of step ``s0`` on event ``e1`` is read from the cached
     transitions of the representative of ``s0``'s class: congruent states
     have the same events in the same order, and transitions preserve
-    congruence."""
-    from .independence import indep_event
+    congruence.  Independence is decided once per pair of event ids per
+    theory, in the table the game's ``indep_event`` test fills."""
+    from .independence import indep_event, indep_ids
 
     def real_steps(A):
         return enabled_transitions(A, bounds, theory, signature, consts).real_steps
+
+    def indep(i: int, j: int) -> bool:
+        return indep_ids(theory.indep, indep_event, theory.events, i, j)
 
     succ: dict[int, dict[int, int]] = {}  # class id -> event id -> class id
 
@@ -643,7 +705,7 @@ def diamond_check(
             e0 = s0.event
             for s1 in steps[i + 1 :]:
                 e1 = s1.event
-                if s0.eid == s1.eid or not indep_event(e0, e1):
+                if s0.eid == s1.eid or not indep(s0.eid, s1.eid):
                     continue
                 c01 = after(s0, s1.eid)
                 c10 = after(s1, s0.eid)

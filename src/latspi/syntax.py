@@ -10,8 +10,9 @@ Two reserved namespaces keep renaming hygienic: canonical binders are named
 ``%0, %1, ...``, and the fresh names ``_0, _1, ...`` come only from
 capture-avoiding substitution (``subst_proc``) and from ``lts._close``,
 which renames apart two copies of a replicated body that synchronise.
-Neither is accepted by the parser, so user-level names never collide with
-machine-chosen ones.
+``lts`` reserves one more name, ``%in``, for the bound variable of an input
+firing that it keys once for all payloads.  None is accepted by the parser,
+so user-level names never collide with machine-chosen ones.
 
 Processes are ``terms.Node`` values, as messages are: immutable trees,
 hashed and compared structurally, each stored as the tuple ``(class name,
@@ -592,7 +593,8 @@ def _canonical(A: ExtendedProcess, env: dict[str, Var | None], top: int) -> Exte
     top binder that ``env`` maps to ``None`` is named by the first lookup
     that meets it, and the body's binders are numbered on from ``top``."""
     name = map(_canon_var, count()).__next__
-    frame = Substitution({a: rename_first_use(m, env, name) for a, m in A.frame.items()})
+    # renaming the values keeps the frame's alias order
+    frame = Substitution.from_sorted({a: rename_first_use(m, env, name) for a, m in A.frame.items()})
     body = _canon_body(A.body, env, name, map(_canon_var, count(top)))
     return ExtendedProcess(tuple([_canon_var(i).name for i in range(top)]), frame, body)
 

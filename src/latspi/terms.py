@@ -22,6 +22,7 @@ Other code reads fields by name.
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Mapping
@@ -250,8 +251,12 @@ class Theory:
         self.classes: dict = {}
         self.reps: list = []
         # frame -> the one frame object that the representatives with an
-        # equal frame share (``lts.state_class``)
+        # equal frame share (``lts._key_class``)
         self.rep_frames: dict = {}
+        # (frame, consts, signature, recipe depth) -> the frame's recipes,
+        # their normalised images and normal form -> recipes
+        # (``lts.frame_recipes``)
+        self.frame_recipes: dict = {}
         # event -> its id, and id -> the event and its ``event_key``
         # (``lts.event_id``); the game remembers and compares events by id
         self.event_ids: dict = {}
@@ -426,6 +431,15 @@ class Substitution:
         self.mapping: dict[Alias, Message] = {a: m for a, m in pairs if m != a}
         self._hash = None
 
+    @classmethod
+    def from_sorted(cls, mapping: dict[Alias, Message]) -> "Substitution":
+        """The substitution of ``mapping``, taken as it is: its aliases
+        must already be in order, and none may map to itself."""
+        s = object.__new__(cls)
+        s.mapping = mapping
+        s._hash = None
+        return s
+
     @property
     def domain(self) -> frozenset[Alias]:
         return frozenset(self.mapping)
@@ -451,9 +465,11 @@ class Substitution:
         """Frame composition with a singleton ``{alias -> m}``."""
         if alias in self.mapping:
             raise ValueError(f"alias {alias} already bound")
-        new = dict(self.mapping)
-        new[alias] = m
-        return Substitution(new)
+        # an alias, the tuple ``("Alias", prefix, stem)``, compares as its
+        # ``msg_key`` does, so bisecting the sorted aliases keeps the order
+        items = list(self.mapping.items())
+        items.insert(bisect(list(self.mapping), alias), (alias, m))
+        return Substitution.from_sorted(dict(items))
 
     def __str__(self):
         if not self.mapping:

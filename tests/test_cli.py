@@ -193,6 +193,22 @@ def test_static_equiv_public_vs_private(files, capsys):
 
 
 @pytest.mark.parametrize(
+    "left, right, error",
+    [
+        ("0l = a\n", "0l = b\n", "alias 1l, which neither frame binds"),
+        ("0l = a\n1l = b\n", "0l = b\n", "alias 1l, which the right frame does not bind"),
+        ("0l = a\n", "0l = b\n1l = b\n", "alias 1l, which the left frame does not bind"),
+    ],
+    ids=["neither", "left-only", "right-only"],
+)
+def test_static_equiv_test_of_an_unbound_alias_exits_two(files, capsys, left, right, error):
+    f1, f2 = files("l.frame", left), files("r.frame", right)
+    code, out, err = run(capsys, "static-equiv", f1, f2, "--test", "1l = a")
+    assert code == 2 and out == ""
+    assert err == f"error: --test mentions {error}\n"
+
+
+@pytest.mark.parametrize(
     "content, error",
     [
         ("0l a\n", "malformed frame line: '0l a'"),

@@ -36,6 +36,7 @@ from latspi.lts import ExplorationBounds, default_consts
 from latspi.syntax import ExtendedProcess, congruence_key, parse_process
 from latspi.terms import Alias, AliasMap, Substitution, Theory, Var, app, msg_key
 from st_oracle import ExhaustiveST, check_exhaustive
+from test_lts import _classes_are_keys
 
 B = ExplorationBounds(recipe_depth=1, static_depth=1, repl_unfold=2, game_depth=12)
 
@@ -377,36 +378,46 @@ def test_each_frame_is_partitioned_once_per_theory(monkeypatch):
 # --- congruence-class ids --------------------------------------------------
 
 
-def test_each_state_is_canonicalised_once_per_theory(monkeypatch):
-    # the 13 relations and their replays on one pair share one theory
-    case = next(c for c in load_corpus() if c.name == "fresh-vs-hash-sim-hp")
-    seen = []
+def _keying(monkeypatch, keyed: list, holes: list) -> None:
+    """Record each state that ``lts`` canonicalises in ``keyed``, and in
+    ``holes`` those that are input firings keyed with the hole
+    (``lts._input_residuals``)."""
 
     def counting(state):
-        seen.append(state)
+        keyed.append(state)
+        if sys._getframe(1).f_code is lts._input_residuals.__code__:
+            holes.append(state)
         return congruence_key(state)
 
     monkeypatch.setattr(lts, "congruence_key", counting)
+
+
+def test_each_state_is_canonicalised_once_per_theory(monkeypatch):
+    # the 13 relations and their replays on one pair share one theory
+    case = next(c for c in load_corpus() if c.name == "fresh-vs-hash-sim-hp")
+    seen, holes = [], []
+    _keying(monkeypatch, seen, holes)
     p, q = parse_process(case.left), parse_process(case.right)
     theory = case_theory(case)
     for rel in Rel:
         v = check(rel, p, q, case.bounds, theory)
         assert v.related or witness_replay(v, p, q, theory)
+    monkeypatch.undo()
     assert seen and len(seen) == len(set(seen))  # no state canonicalised twice
-    assert set(seen) <= theory.classes.keys()
-    classes = set(theory.classes.values())
-    assert len(classes) == len({congruence_key(s) for s in seen}) < len(seen)
+    assert holes
+    hole_ids = {id(s) for s in holes}
+    states = [s for s in seen if id(s) not in hole_ids]
+    assert set(states) <= theory.classes.keys()
+    # the canonicalised states fall into classes exactly by their keys
+    ids = {theory.classes[s] for s in states}
+    assert len(ids) == len({congruence_key(s) for s in states}) < len(states)
+    _classes_are_keys(theory)
 
 
 def test_search_canonicalises_only_the_states_it_visits(monkeypatch):
     case = next(c for c in load_corpus() if c.name == "fresh-vs-hash-sim-hp")
-    keyed = []
+    keyed, holes = [], []
     visited = {}  # id -> state of every configuration side the search met
-
-    def counting_key(state):
-        keyed.append(state)
-        return congruence_key(state)
-
     run, replay = Checker.run, games._replay_node
 
     def visiting(cfg):
@@ -420,7 +431,7 @@ def test_search_canonicalises_only_the_states_it_visits(monkeypatch):
         visiting(cfg)
         return replay(checker, cfg, node)
 
-    monkeypatch.setattr(lts, "congruence_key", counting_key)
+    _keying(monkeypatch, keyed, holes)
     monkeypatch.setattr(Checker, "run", visiting_run)
     monkeypatch.setattr(games, "_replay_node", visiting_replay)
     p, q = parse_process(case.left), parse_process(case.right)
@@ -428,10 +439,16 @@ def test_search_canonicalises_only_the_states_it_visits(monkeypatch):
     for rel in Rel:
         v = check(rel, p, q, case.bounds, theory)
         assert v.related or witness_replay(v, p, q, theory)
+    monkeypatch.undo()
     assert keyed and len({id(s) for s in keyed}) == len(keyed)
-    assert all(visited.get(id(s)) is s for s in keyed)  # only visited states
+    # each canonicalised state is a configuration side the search visited
+    # or a keyed input firing, never both
+    hole_ids = {id(s) for s in holes}
+    assert holes and not hole_ids & visited.keys()
+    assert all(visited.get(id(s)) is s for s in keyed if id(s) not in hole_ids)
     built = sum(len(t.steps) for t in theory.enabled.values())
     assert len(keyed) < built / 2  # most successors are never canonicalised
+    _classes_are_keys(theory)
 
 
 # --- event ids -------------------------------------------------------------

@@ -5,14 +5,19 @@ from dataclasses import replace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from latspi import lts
+from latspi import knowledge, lts
 from latspi.corpus import case_theory
 from latspi.games import build_signature
 from latspi.lts import (
+    Event,
     ExplorationBounds,
+    InLabel,
+    OutLabel,
+    TauLabel,
     default_consts,
     diamond_check,
     enabled_transitions,
+    event_key,
     reachable_lts,
     representative,
 )
@@ -33,8 +38,9 @@ from latspi.syntax import (
     parse_process,
     prime_bangs,
     struct_congruent,
+    subst_proc,
 )
-from latspi.terms import ID, Theory, dolev_yao
+from latspi.terms import ID, Theory, Var, apply_msg_subst, dolev_yao
 from test_lts_systems import corpus_systems, explore
 from test_syntax import _names, _procs
 
@@ -229,9 +235,34 @@ def test_raw_states_keep_their_free_names_apart_from_their_binders():
     ]
 
 
-def _fire_on_a_fresh_theory(state, p):
-    theory = Theory(())
-    return lts._fire(state, B1, theory, build_signature(theory, p), default_consts(p))
+def _raw_fire(A, bounds, theory, signature, consts):
+    """``(steps, tainted)`` of ``A`` fired as it is, each step an ``(event,
+    residual, phantom)`` triple in the library's order, with every residual
+    built raw: an input's by substituting the payload's normalised image for
+    its bound variable, one ``subst_proc`` per payload.  ``A`` needs only
+    binders of its own, as an alpha-canonical state has.  The reference for
+    ``lts._fire``, which keys each input firing once."""
+    ts, tainted = lts.proc_transitions(A.body, theory)
+    recipes = knowledge.recipe_enum(A.frame.domain, consts, signature, bounds.recipe_depth, theory)
+    images = [theory.normalize(apply_msg_subst(r, A.frame)) for r in recipes]
+    steps = []
+    for t in ts:
+        binders = A.binders + t.binders
+        if isinstance(t, lts.PTau):
+            steps.append((Event(TauLabel(), t.loc), ExtendedProcess(binders, A.frame, t.cont), t.phantom))
+            continue
+        chans = [r for r, img in zip(recipes, images) if img == theory.normalize(t.chan)]
+        if isinstance(t, lts.POut):
+            alias = lts.fresh_alias(t.loc.prefix, A.frame.domain)
+            residual = ExtendedProcess(binders, A.frame.extend(alias, theory.normalize(t.payload)), t.cont)
+            steps += [(Event(OutLabel(m, alias), t.loc), residual, t.phantom) for m in chans]
+        else:
+            for m in chans:
+                for n, img in zip(recipes, images):
+                    residual = ExtendedProcess(binders, A.frame, subst_proc(t.cont, {t.binder: img}))
+                    steps.append((Event(InLabel(m, n), t.loc), residual, t.phantom))
+    steps.sort(key=lambda s: (s[2], event_key(s[0])))
+    return steps, tainted
 
 
 @settings(max_examples=100, deadline=None)
@@ -239,21 +270,102 @@ def _fire_on_a_fresh_theory(state, p):
 # top restrictions in declared order, first used in the other order
 @example(("k", "m"), parse_process("out(a, m) | out(b, k)"))
 @example((), parse_process("new z.(out(c, z) | new a.new x.out(b, x))"))
+# the payload is a private name that the state and its key name apart
+@example(("k", "m"), parse_process("out(a, m) | out(b, k) | in(c, x).out(c, x)"))
 def test_class_representatives_have_the_same_transitions(binders, p):
     # ``enabled_transitions`` fires the representative of a state's class in
-    # its place, so the two must agree step for step up to congruence; the
-    # state is fired as it is, unmemoised
+    # its place, so its steps must agree step for step, up to congruence,
+    # with those of the state fired as it is
     p = prime_bangs(p, 1)
+    theory = Theory(())
+    args = (B1, theory, build_signature(theory, p), default_consts(p))
     A = alpha_canonical(ExtendedProcess(tuple(binders), ID, p))
-    states = [A] + [alpha_canonical(s.residual) for s in _fire_on_a_fresh_theory(A, p).steps]
+    states = [A] + [alpha_canonical(r) for _, r, _ in _raw_fire(A, *args)[0]]
     for state in states:
-        ts = _fire_on_a_fresh_theory(state, p)
-        tr = _fire_on_a_fresh_theory(congruence_key(state), p)
-        assert [s.event for s in ts.steps] == [s.event for s in tr.steps]
-        assert [s.phantom for s in ts.steps] == [s.phantom for s in tr.steps]
-        assert ts.tainted == tr.tainted
-        for s, r in zip(ts.steps, tr.steps):
-            assert congruence_key(s.residual) == congruence_key(r.residual)
+        raw, tainted = _raw_fire(state, *args)
+        tset = enabled_transitions(state, *args)
+        assert [(e, phantom) for e, _, phantom in raw] == [(s.event, s.phantom) for s in tset.steps]
+        assert tset.tainted == tainted
+        for (_, r, _), s in zip(raw, tset.steps):
+            assert congruence_key(s.residual) == congruence_key(r)
+
+
+# --- input residuals are class keys at birth ---------------------------------
+
+
+def _inputs_fire_into_keys(state, bounds, theory, signature, consts) -> list:
+    """Assert that each input step of the state's class carries the key of
+    the residual built raw from its representative, and that every other
+    step's residual has that key; return the steps."""
+    rep = representative(state, theory)
+    tset = enabled_transitions(rep, bounds, theory, signature, consts)
+    raw, tainted = _raw_fire(rep, bounds, theory, signature, consts)
+    assert [(e, phantom) for e, _, phantom in raw] == [(s.event, s.phantom) for s in tset.steps]
+    assert tset.tainted == tainted
+    for (e, r, _), s in zip(raw, tset.steps):
+        if isinstance(e.action, InLabel):
+            assert s.residual == congruence_key(r), (str(rep), str(e))
+        else:
+            assert congruence_key(s.residual) == congruence_key(r)
+    return tset.steps
+
+
+def _classes_are_keys(theory) -> None:
+    """Every class key of the theory is a fixed point of ``congruence_key``,
+    ids number the keys, and every state the table maps goes to its own
+    key's class."""
+    assert all(congruence_key(k) == k for k in theory.reps)
+    assert [theory.classes[k] for k in theory.reps] == list(range(len(theory.reps)))
+    assert all(congruence_key(s) == theory.reps[i] for s, i in theory.classes.items())
+
+
+# a replicated input beside a drawn process: the two copies of its body
+# bind one name, and each copy's firing is keyed apart
+_replicated_inputs = st.builds(
+    lambda c, x, body, rest: Par(Bang(In(Var(c), x, body)), rest),
+    _names, _names, _procs(), _procs(),
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.one_of(_procs(), _replicated_inputs), st.sampled_from([0, 1, 2]))
+# a binder of the continuation takes the bound variable's canonical name
+@example(parse_process("in(a, x).new y.out(y, x)"), 0)
+@example(parse_process("!in(a, x).out(b, x) | out(a, m)"), 2)
+def _drawn_inputs_fire_into_keys(p, unfold):
+    # two rounds of steps from a drawn process, phantom steps included
+    theory, bounds = Theory(()), replace(B1, repl_unfold=unfold)
+    p = prime_bangs(p, unfold)
+    args = (bounds, theory, build_signature(theory, p), default_consts(p))
+    states = [from_process(p)]
+    for _ in range(2):
+        states = [s.residual for state in states for s in _inputs_fire_into_keys(state, *args)]
+    _classes_are_keys(theory)
+
+
+# Dolev-Yao systems whose payload recipes, such as ``dec(0l, 1l)`` and
+# ``fst(0l)``, have substituted forms that rewrite
+_REWRITING_INPUTS = (
+    "new k.(out(a, enc(m, k)) | out(a, k) | in(b, x).out(c, x))",
+    "out(a, pair(m, n)) | in(b, x).new y.out(y, x)",
+)
+
+
+def test_input_steps_carry_the_keys_of_their_raw_residuals():
+    # on drawn processes, on Dolev-Yao systems whose payload images differ
+    # from the recipes' substituted forms, and from every state reachable in
+    # the corpus systems at their bounds
+    _drawn_inputs_fire_into_keys()
+    systems = [(src, B1, dolev_yao()) for src in _REWRITING_INPUTS]
+    systems += [(src, case.bounds, case_theory(case)) for _, src, case in corpus_systems()]
+    inputs = 0
+    for src, bounds, theory in systems:
+        graph, args = explore(src, bounds, theory)
+        for state in graph.states:
+            steps = _inputs_fire_into_keys(state, *args)
+            inputs += sum(isinstance(s.event.action, InLabel) for s in steps)
+        _classes_are_keys(theory)
+    assert inputs > 400
 
 
 # --- the game graph is acyclic ----------------------------------------------

@@ -112,6 +112,20 @@ def test_substitution_apply_and_extend():
         s.extend(a, Var("y"))
 
 
+_aliases = st.builds(Alias, st.sampled_from(["", "0", "1", "01", "10"]), st.sampled_from(["l", "l'", "l''"]))
+
+
+@given(st.lists(_aliases, unique=True, max_size=6))
+def test_extending_keeps_the_aliases_in_order(aliases):
+    # ``extend`` inserts each alias in place, without sorting the frame again
+    s = Substitution()
+    for i, a in enumerate(aliases):
+        s = s.extend(a, Var(f"x{i}"))
+    built = Substitution({a: Var(f"x{i}") for i, a in enumerate(aliases)})
+    assert list(s.items()) == list(built.items()) == sorted(built.items(), key=lambda kv: msg_key(kv[0]))
+    assert s == built and hash(s) == hash(built)
+
+
 def test_alias_map_injective():
     a, b, c = Alias("0", "l"), Alias("1", "l"), Alias("", "l")
     with pytest.raises(ValueError):
