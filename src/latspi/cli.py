@@ -54,7 +54,6 @@ from .terms import (
     Substitution,
     Theory,
     TheoryError,
-    dolev_yao,
     free_aliases,
     free_vars,
     msg_key,
@@ -83,11 +82,11 @@ MAX_INDEP_PAIRS = 100_000
 
 
 def load_theory(spec: str | None) -> Theory:
-    """A new theory per call: a preset name, or a rewrite-theory file."""
-    if spec is None or spec == "empty":
-        return Theory(())
-    if spec == "dolev-yao":
-        return dolev_yao()
+    """A new theory per call: a preset name (``corpus.THEORIES``), the
+    empty theory by default, or a rewrite-theory file."""
+    preset = corpus_mod.THEORIES.get("empty" if spec is None else spec)
+    if preset is not None:
+        return preset()
     with open(spec) as f:
         return parse_theory(f.read())
 

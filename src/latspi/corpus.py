@@ -23,7 +23,9 @@ RELATED_EXACT = "RELATED_EXACT"
 RELATED_BOUNDED = "RELATED_BOUNDED"
 DISTINGUISHED = "DISTINGUISHED"
 CLASSES = (RELATED_EXACT, RELATED_BOUNDED, DISTINGUISHED)
-THEORIES = ("empty", "dolev-yao")
+# the theory presets by name, each building a new theory per call; the
+# command line's ``--theory`` reads the same table
+THEORIES = {"empty": lambda: Theory(()), "dolev-yao": dolev_yao}
 
 
 @dataclass(frozen=True)
@@ -34,16 +36,15 @@ class CorpusCase:
     relation: Rel
     expected: str
     bounds: ExplorationBounds
-    theory: str = "empty"  # "empty" or "dolev-yao"
+    theory: str = "empty"  # a name of ``THEORIES``
 
 
 def case_theory(case: CorpusCase) -> Theory:
     """A new theory per call, so that each case has caches of its own."""
-    if case.theory == "dolev-yao":
-        return dolev_yao()
-    if case.theory == "empty":
-        return Theory(())
-    raise ValueError(f"unknown theory preset: {case.theory}")
+    preset = THEORIES.get(case.theory)
+    if preset is None:
+        raise ValueError(f"unknown theory preset: {case.theory}")
+    return preset()
 
 
 # a corpus file names bounds by their field names

@@ -26,10 +26,16 @@ leader side's bit for every pair and keeps the independent ones; ``iloc`` and
 ``ifull`` demand the bit for every pair and keep them all; the interleaving
 relations demand and keep nothing.  The failure round applies the same rule
 to the right side's move.  A memoized AND-OR search explores the game tree,
-cut at ``game_depth`` rounds; a cut taints the verdict.  A phantom answer (a
-firing beyond a spent budget) keeps ``Bang(body, 0)`` and adds a live
-continuation that the other side may lead from, so only the cut ends such a
-search; phantom steps taint the verdict too.  Configurations are memoized
+cut at ``game_depth`` rounds.  A configuration at the cut still gets its
+static test and its failure round, which do not recurse, so a refutation
+found there is exact and replays.  The cut taints the verdict only when it
+leaves a leader move unplayed; a configuration where no leader side has a
+real step is related at the cut as anywhere else, and memoized.  A tainted
+cut is not memoized, since a shallower visit of the same configuration may
+search on and find a refutation.  A phantom answer (a firing beyond a spent
+budget) keeps ``Bang(body, 0)`` and adds a live continuation that the other
+side may lead from, so only the cut ends such a search; phantom steps taint
+the verdict too.  Configurations are memoized
 on the ids of the congruence classes of their two states, which the theory
 interns (``lts.state_class``), so each distinct state is canonicalised once
 however many checks share the theory.
@@ -273,6 +279,10 @@ class Verdict:
 
 # --- the checker -----------------------------------------------------------
 
+# ``Checker._decide``'s answer for a configuration at the ``game_depth`` cut
+# from which a leader could still move
+_CUT = object()
+
 
 class Checker:
     def __init__(
@@ -412,11 +422,12 @@ class Checker:
         key = self.memo_key(cfg)
         if key in self.memo:
             return self.memo[key]
-        if depth >= self.bounds.game_depth:
-            self.tainted = True
-            return None
         reps = self.theory.reps
         node = self._decide(GameConfig(reps[key[0]], reps[key[1]], cfg.rho, cfg.pairs), depth)
+        if node is _CUT:
+            # not memoized: a shallower visit must search on from here
+            self.tainted = True
+            return None
         self.memo[key] = node
         return node
 
@@ -436,6 +447,9 @@ class Checker:
             fnode = self.failure_witness(cfg, fetch("left"), fetch("right"))
             if fnode is not None:
                 return fnode
+        if depth >= self.bounds.game_depth:
+            # the cut leaves a play unfinished only where a leader can move
+            return _CUT if any(fetch(side).real_steps for side in self.sides) else None
         for side in self.sides:
             follower = "right" if side == "left" else "left"
             for step in fetch(side).real_steps:

@@ -293,10 +293,16 @@ _UNTAINTED_CUT = "ROADMAP item 1: a recipe or static depth that cuts enumeration
             ExplorationBounds(game_depth=2),
             "empty",
             RELATED_EXACT,
-            marks=pytest.mark.xfail(
-                strict=True, reason="ROADMAP item 14: a play that ends at the game cut is tainted"
-            ),
             id="play-ends-at-the-cut",
+        ),
+        pytest.param(
+            # twelve rounds, all played within the default game=12
+            ".".join(["out(a,m)"] * 12),
+            ".".join(["out(a,m)"] * 12),
+            ExplorationBounds(),
+            "empty",
+            RELATED_EXACT,
+            id="twelve-outputs-at-the-default-cut",
         ),
     ],
 )

@@ -1,7 +1,9 @@
 """Every name that a module of the package or a test module imports is
 used in that module, every private function or class of the package is
 referenced somewhere in it, and every function that the benchmark's tracer
-wraps by name exists."""
+wraps by name exists.  Tests import no private name of the package, and
+the reference semantics in ``tests/reference`` imports only the parser,
+the theory and the node classes."""
 
 import ast
 import importlib
@@ -31,7 +33,7 @@ def unused_imports(source: str) -> list[str]:
 def test_no_unused_imports():
     # the package's __init__ imports names only to re-export them
     paths = [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"]
-    paths += sorted(ROOT.glob("tests/*.py"))
+    paths += sorted(ROOT.glob("tests/**/*.py"))
     found = {str(path): names for path in paths if (names := unused_imports(path.read_text()))}
     assert found == {}
 
@@ -44,6 +46,62 @@ def test_unused_imports_are_found():
         "print(sys, a)\n"
     )
     assert unused_imports(source) == ["os (line 2)", "c (line 3)"]
+
+
+# what ``tests/reference`` may import from the package: the parser, the
+# theory (for ``normalize`` and ``equal``), and the node classes of
+# messages, frames, processes, states, labels, locations and events
+REFERENCE_MAY_IMPORT = {
+    "latspi.syntax": set("parse_process ExtendedProcess Process Guard Nil New Par Bang In Out Match Mismatch Sum".split()),
+    "latspi.terms": {"Theory", "Var", "Alias", "App", "Symbol", "Substitution"},
+    "latspi.lts": {"Location", "PairLoc", "OutLabel", "InLabel", "TauLabel", "Event"},
+}
+# helpers of the named syntax that no test may pin
+TEST_MAY_NOT_IMPORT = {"fresh_supply", "all_names"}
+
+
+def forbidden_imports(source: str, allowed: dict | None = None) -> list[str]:
+    """The names that ``source`` imports from the package and may not:
+    ``TEST_MAY_NOT_IMPORT`` and private names, and, when ``allowed`` maps
+    modules to the names that may be imported from them, every other name,
+    a whole module included."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import) and allowed is not None:
+            found += [f"{a.name} (line {node.lineno})" for a in node.names if a.name.split(".")[0] == "latspi"]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.split(".")[0] == "latspi":
+            for a in node.names:
+                private = a.name in TEST_MAY_NOT_IMPORT or a.name.startswith("_")
+                if private or (allowed is not None and a.name not in allowed.get(node.module, ())):
+                    found.append(f"{node.module}.{a.name} (line {node.lineno})")
+    return found
+
+
+def test_tests_import_only_what_they_may():
+    found = {}
+    for path in sorted(ROOT.glob("tests/**/*.py")):
+        allowed = REFERENCE_MAY_IMPORT if path.parent.name == "reference" else None
+        if names := forbidden_imports(path.read_text(), allowed):
+            found[str(path)] = names
+    assert found == {}
+
+
+def test_forbidden_imports_are_found():
+    source = (
+        "import latspi.lts\n"
+        "from latspi.syntax import parse_process, all_names, _subst\n"
+        "from latspi.lts import Event, enabled_transitions\n"
+        "from latspi import games\n"
+        "from .syntax import subst\n"
+    )
+    assert forbidden_imports(source) == ["latspi.syntax.all_names (line 2)", "latspi.syntax._subst (line 2)"]
+    assert forbidden_imports(source, REFERENCE_MAY_IMPORT) == [
+        "latspi.lts (line 1)",
+        "latspi.syntax.all_names (line 2)",
+        "latspi.syntax._subst (line 2)",
+        "latspi.lts.enabled_transitions (line 3)",
+        "latspi.games (line 4)",
+    ]
 
 
 def unreferenced_private(sources: dict[str, str]) -> list[str]:

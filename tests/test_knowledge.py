@@ -1,7 +1,5 @@
 """Attacker knowledge: recipe enumeration, satisfaction, static equivalence."""
 
-from itertools import product
-
 from hypothesis import example, given, settings, strategies as st
 
 from latspi.games import Checker, GameConfig, Rel
@@ -23,11 +21,12 @@ from latspi.terms import (
     Symbol,
     Theory,
     Var,
-    apply_msg_subst,
     app,
     rename_vars,
     dolev_yao,
 )
+from reference.knowledge import recipes as reference_recipes, static_scan
+
 
 L = Alias("", "l")
 L0 = Alias("0", "l")
@@ -53,37 +52,6 @@ def test_recipe_enum_dedups_modulo_theory():
     nfs = [th.normalize(r) for r in rs]
     assert len(nfs) == len(set(nfs))  # one representative per class
     assert Var("a") in nfs and Var("b") in nfs
-
-
-def test_recipe_enum_deterministic():
-    rs1 = recipe_enum(frozenset({L0, L1}), frozenset({"a"}), (H,), 1, Theory(()))
-    rs2 = recipe_enum(frozenset({L0, L1}), frozenset({"a"}), (H,), 1, Theory(()))
-    assert rs1 == rs2
-
-
-def _direct_recipe_enum(aliases, consts, signature, depth, theory):
-    """Recipes enumerated over the domain's own aliases, with no sharing
-    between domains: the reference ``recipe_enum`` must reproduce exactly."""
-    atoms = sorted(aliases, key=lambda a: (a.prefix, a.stem))
-    atoms += [Var(c) for c in sorted(consts)]
-    seen, out = set(), []
-
-    def add(r):
-        nf = theory.normalize(r)
-        if nf not in seen:
-            seen.add(nf)
-            out.append(r)
-
-    for a in atoms:
-        add(a)
-    for _ in range(depth):
-        start, pool = len(out), list(out)
-        for sym in sorted(set(signature), key=lambda s: (s.name, s.arity)):
-            for args in product(pool, repeat=sym.arity):
-                add(App(sym, args))
-        if len(out) == start:
-            break
-    return out
 
 
 _ALIAS_POOL = [Alias(p, s) for p in ("", "0", "1", "01", "10") for s in ("l", "l'")]
@@ -116,7 +84,7 @@ def test_recipe_enum_matches_direct_enumeration(problem):
     for aliases in domains:
         rs = recipe_enum(aliases, consts, signature, depth, theory)
         fresh = dolev_yao() if name == "dolev-yao" else Theory(())
-        assert rs == _direct_recipe_enum(aliases, consts, signature, depth, fresh)
+        assert rs == reference_recipes(aliases, consts, signature, depth, fresh)
         # each application's arguments are earlier entries of the list itself
         seen: set = set()
         for r in rs:
@@ -219,25 +187,9 @@ def test_frame_classes_are_keyed_on_consts():
 
 
 def _reference_scan(frame_a, frame_b, rho, recipes, theory, both_directions):
-    """The static scan on whole terms, as decided before normal forms were
-    interned: the reference the interned scan must reproduce exactly."""
-    rep_a: dict = {}
-    rep_b: dict = {}
-    for r in recipes:
-        nf_a = theory.normalize(apply_msg_subst(r, frame_a))
-        nf_b = theory.normalize(apply_msg_subst(rho(r), frame_b))
-        prev = rep_a.get(nf_a)
-        if prev is None:
-            rep_a[nf_a] = (r, nf_b)
-        elif prev[1] != nf_b:
-            return StaticWitness(prev[0], r, True, False)
-        if both_directions:
-            prev = rep_b.get(nf_b)
-            if prev is None:
-                rep_b[nf_b] = (r, nf_a)
-            elif prev[1] != nf_a:
-                return StaticWitness(prev[0], r, False, True)
-    return None
+    """The reference's static scan on whole terms, as a witness."""
+    found = static_scan(frame_a, frame_b, rho.mapping, recipes, theory, both_directions)
+    return None if found is None else StaticWitness(*found)
 
 
 DY_SIGNATURE = tuple(
@@ -453,7 +405,7 @@ def test_class_keyed_static_test_matches_reference(problem, rel):
     both = rel is not Rel.PRESIM_I
     for frame_a, frame_b, rho in variants:
         reference = dolev_yao()  # no table shared with the checker's theory
-        recipes = _direct_recipe_enum(frame_a.domain, consts, DY_SIGNATURE, depth, reference)
+        recipes = reference_recipes(frame_a.domain, consts, DY_SIGNATURE, depth, reference)
         expected = _reference_scan(frame_a, frame_b, rho, recipes, reference, both)
         left, right = ExtendedProcess((), frame_a, Nil()), ExtendedProcess((), frame_b, Nil())
         assert checker.static_witness(GameConfig(left, right, rho, frozenset())) == expected

@@ -1,23 +1,16 @@
-"""Located transitions, frames, reachability, and the diamond property."""
+"""Located transitions, frames, reachability, and class representatives."""
 
 from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from latspi import knowledge, lts
-from latspi.corpus import case_theory
 from latspi.games import build_signature
 from latspi.lts import (
-    Event,
     ExplorationBounds,
     InLabel,
-    OutLabel,
-    TauLabel,
     default_consts,
-    diamond_check,
     enabled_transitions,
-    event_key,
     reachable_lts,
     representative,
 )
@@ -32,17 +25,16 @@ from latspi.syntax import (
     Out,
     Par,
     Sum,
-    alpha_canonical,
     congruence_key,
     from_process,
     parse_process,
     prime_bangs,
-    struct_congruent,
-    subst_proc,
 )
-from latspi.terms import ID, Theory, Var, apply_msg_subst, dolev_yao
-from test_lts_systems import corpus_systems, explore
-from test_syntax import _names, _procs
+from latspi.terms import Theory, dolev_yao
+from reference.lts import Semantics
+from test_lts_systems import explore
+from test_reference import _corpus_graphs, fires_as_the_reference
+from test_syntax import _procs
 
 B1 = ExplorationBounds(recipe_depth=1, static_depth=1, repl_unfold=2, game_depth=12)
 B0 = ExplorationBounds(recipe_depth=0, static_depth=1, repl_unfold=2, game_depth=12)
@@ -178,7 +170,7 @@ def test_close_renames_apart_two_copies_of_a_replicated_body():
     assert states[9] == f"new %0,%1.(id | (out(c, %0) | out(%0, %1)) | (0 | in(c, %2).out(%1, %2)) | {rest})"
 
 
-# --- reachability and diamonds --------------------------------------------
+# --- reachability ----------------------------------------------------------
 
 
 def test_reachable_lts_counts():
@@ -194,27 +186,6 @@ def test_state_budget_exhaustion():
     g = reachable_lts(A, bounds, theory, signature, consts)
     assert g.budget_exhausted and g.tainted
     assert len(g.states) == 2
-
-
-def test_diamond_property_small():
-    A, theory, bounds, signature, consts = setup(
-        "new x,y,z.(out(a,x) | out(b,y) | in(c,w).out(w,z))", bounds=B0
-    )
-    g = reachable_lts(A, bounds, theory, signature, consts)
-    assert diamond_check(g, bounds, theory, signature, consts) == []
-
-
-def test_commuting_orders_reach_congruent_states():
-    A, theory, bounds, signature, consts = setup("new x.(out(a, x) | out(b, h(x)))", bounds=B0)
-    ab = step_on(
-        step_on(A, "(^a(0l), 0[])", theory, bounds, signature, consts),
-        "(^b(1l), 1[])", theory, bounds, signature, consts,
-    )
-    ba = step_on(
-        step_on(A, "(^b(1l), 1[])", theory, bounds, signature, consts),
-        "(^a(0l), 0[])", theory, bounds, signature, consts,
-    )
-    assert struct_congruent(ab, ba)
 
 
 # --- representatives ---------------------------------------------------------
@@ -235,79 +206,16 @@ def test_raw_states_keep_their_free_names_apart_from_their_binders():
     ]
 
 
-def _raw_fire(A, bounds, theory, signature, consts):
-    """``(steps, tainted)`` of ``A`` fired as it is, each step an ``(event,
-    residual, phantom)`` triple in the library's order, with every residual
-    built raw: an input's by substituting the payload's normalised image for
-    its bound variable, one ``subst_proc`` per payload.  ``A`` needs only
-    binders of its own, as an alpha-canonical state has.  The reference for
-    ``lts._fire``, which keys each input firing once."""
-    ts, tainted = lts.proc_transitions(A.body, theory)
-    recipes = knowledge.recipe_enum(A.frame.domain, consts, signature, bounds.recipe_depth, theory)
-    images = [theory.normalize(apply_msg_subst(r, A.frame)) for r in recipes]
-    steps = []
-    for t in ts:
-        binders = A.binders + t.binders
-        if isinstance(t, lts.PTau):
-            steps.append((Event(TauLabel(), t.loc), ExtendedProcess(binders, A.frame, t.cont), t.phantom))
-            continue
-        chans = [r for r, img in zip(recipes, images) if img == theory.normalize(t.chan)]
-        if isinstance(t, lts.POut):
-            alias = lts.fresh_alias(t.loc.prefix, A.frame.domain)
-            residual = ExtendedProcess(binders, A.frame.extend(alias, theory.normalize(t.payload)), t.cont)
-            steps += [(Event(OutLabel(m, alias), t.loc), residual, t.phantom) for m in chans]
-        else:
-            for m in chans:
-                for n, img in zip(recipes, images):
-                    residual = ExtendedProcess(binders, A.frame, subst_proc(t.cont, {t.binder: img}))
-                    steps.append((Event(InLabel(m, n), t.loc), residual, t.phantom))
-    steps.sort(key=lambda s: (s[2], event_key(s[0])))
-    return steps, tainted
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.lists(_names, unique=True, min_size=2, max_size=4), _procs())
-# top restrictions in declared order, first used in the other order
-@example(("k", "m"), parse_process("out(a, m) | out(b, k)"))
-@example((), parse_process("new z.(out(c, z) | new a.new x.out(b, x))"))
-# the payload is a private name that the state and its key name apart
-@example(("k", "m"), parse_process("out(a, m) | out(b, k) | in(c, x).out(c, x)"))
-def test_class_representatives_have_the_same_transitions(binders, p):
-    # ``enabled_transitions`` fires the representative of a state's class in
-    # its place, so its steps must agree step for step, up to congruence,
-    # with those of the state fired as it is
-    p = prime_bangs(p, 1)
-    theory = Theory(())
-    args = (B1, theory, build_signature(theory, p), default_consts(p))
-    A = alpha_canonical(ExtendedProcess(tuple(binders), ID, p))
-    states = [A] + [alpha_canonical(r) for _, r, _ in _raw_fire(A, *args)[0]]
-    for state in states:
-        raw, tainted = _raw_fire(state, *args)
-        tset = enabled_transitions(state, *args)
-        assert [(e, phantom) for e, _, phantom in raw] == [(s.event, s.phantom) for s in tset.steps]
-        assert tset.tainted == tainted
-        for (_, r, _), s in zip(raw, tset.steps):
-            assert congruence_key(s.residual) == congruence_key(r)
-
-
 # --- input residuals are class keys at birth ---------------------------------
 
 
-def _inputs_fire_into_keys(state, bounds, theory, signature, consts) -> list:
-    """Assert that each input step of the state's class carries the key of
-    the residual built raw from its representative, and that every other
-    step's residual has that key; return the steps."""
-    rep = representative(state, theory)
-    tset = enabled_transitions(rep, bounds, theory, signature, consts)
-    raw, tainted = _raw_fire(rep, bounds, theory, signature, consts)
-    assert [(e, phantom) for e, _, phantom in raw] == [(s.event, s.phantom) for s in tset.steps]
-    assert tset.tainted == tainted
-    for (e, r, _), s in zip(raw, tset.steps):
-        if isinstance(e.action, InLabel):
-            assert s.residual == congruence_key(r), (str(rep), str(e))
-        else:
-            assert congruence_key(s.residual) == congruence_key(r)
-    return tset.steps
+def _inputs_are_keys(state, steps) -> int:
+    """Assert that the residual of each input step among the state's
+    ``steps`` is a class key; return the number of input steps."""
+    inputs = [s for s in steps if isinstance(s.event.action, InLabel)]
+    for s in inputs:
+        assert congruence_key(s.residual) == s.residual, (str(state), str(s.event))
+    return len(inputs)
 
 
 def _classes_are_keys(theory) -> None:
@@ -319,30 +227,6 @@ def _classes_are_keys(theory) -> None:
     assert all(congruence_key(s) == theory.reps[i] for s, i in theory.classes.items())
 
 
-# a replicated input beside a drawn process: the two copies of its body
-# bind one name, and each copy's firing is keyed apart
-_replicated_inputs = st.builds(
-    lambda c, x, body, rest: Par(Bang(In(Var(c), x, body)), rest),
-    _names, _names, _procs(), _procs(),
-)
-
-
-@settings(max_examples=100, deadline=None, derandomize=True)
-@given(st.one_of(_procs(), _replicated_inputs), st.sampled_from([0, 1, 2]))
-# a binder of the continuation takes the bound variable's canonical name
-@example(parse_process("in(a, x).new y.out(y, x)"), 0)
-@example(parse_process("!in(a, x).out(b, x) | out(a, m)"), 2)
-def _drawn_inputs_fire_into_keys(p, unfold):
-    # two rounds of steps from a drawn process, phantom steps included
-    theory, bounds = Theory(()), replace(B1, repl_unfold=unfold)
-    p = prime_bangs(p, unfold)
-    args = (bounds, theory, build_signature(theory, p), default_consts(p))
-    states = [from_process(p)]
-    for _ in range(2):
-        states = [s.residual for state in states for s in _inputs_fire_into_keys(state, *args)]
-    _classes_are_keys(theory)
-
-
 # Dolev-Yao systems whose payload recipes, such as ``dec(0l, 1l)`` and
 # ``fst(0l)``, have substituted forms that rewrite
 _REWRITING_INPUTS = (
@@ -352,19 +236,22 @@ _REWRITING_INPUTS = (
 
 
 def test_input_steps_carry_the_keys_of_their_raw_residuals():
-    # on drawn processes, on Dolev-Yao systems whose payload images differ
-    # from the recipes' substituted forms, and from every state reachable in
-    # the corpus systems at their bounds
-    _drawn_inputs_fire_into_keys()
-    systems = [(src, B1, dolev_yao()) for src in _REWRITING_INPUTS]
-    systems += [(src, case.bounds, case_theory(case)) for _, src, case in corpus_systems()]
-    inputs = 0
-    for src, bounds, theory in systems:
-        graph, args = explore(src, bounds, theory)
+    # on Dolev-Yao systems whose payload images differ from the recipes'
+    # substituted forms, the steps are the reference's; and from every state
+    # reachable in the corpus systems at their bounds, whose steps
+    # ``test_reference`` compares, as it does those of drawn states, input
+    # residuals are class keys
+    for src in _REWRITING_INPUTS:
+        graph, args = explore(src, B1, dolev_yao())
+        sem = Semantics(B1, dolev_yao(), *args[2:])
         for state in graph.states:
-            steps = _inputs_fire_into_keys(state, *args)
-            inputs += sum(isinstance(s.event.action, InLabel) for s in steps)
-        _classes_are_keys(theory)
+            _inputs_are_keys(state, fires_as_the_reference(state, sem, *args))
+        _classes_are_keys(args[1])
+    inputs = 0
+    for _, graph, args, _ in _corpus_graphs():
+        for state in graph.states:
+            inputs += _inputs_are_keys(state, enabled_transitions(state, *args).steps)
+        _classes_are_keys(args[1])
     assert inputs > 400
 
 
@@ -423,8 +310,7 @@ def test_every_step_raises_the_acyclicity_measure():
     # and from every state reachable in the corpus systems at their bounds
     _drawn_plays_raise_the_measure()
     steps = 0
-    for _, src, case in corpus_systems():
-        graph, args = explore(src, case.bounds, case_theory(case))
+    for _, graph, args, _ in _corpus_graphs():
         for state in graph.states:
             steps += len(_successors_raise_the_measure(state, *args))
     assert steps > 2000  # 2,455 at this writing, phantom steps included

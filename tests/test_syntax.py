@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from latspi.syntax import (
     Bang,
     ExtendedProcess,
+    Guard,
     In,
     Match,
     Mismatch,
@@ -28,7 +29,6 @@ from latspi.syntax import (
     parse_process,
     prime_bangs,
     struct_congruent,
-    subst_proc,
     to_text,
 )
 from latspi.lts import TauLabel
@@ -110,29 +110,6 @@ def test_pi_file_defaults_to_last_def():
     assert checked == parse_process("out(a, m)")
 
 
-def test_free_names():
-    p = parse_process("new x.(out(a, x) | in(b, y).out(y, c))")
-    assert free_names(p) == {"a", "b", "c"}
-
-
-# --- substitution ----------------------------------------------------------
-
-
-def test_subst_proc_capture_avoiding():
-    p = parse_process("new x.out(a, y)")
-    q = subst_proc(p, {"y": Var("x")})
-    # the binder must be renamed so the substituted x stays free
-    assert free_names(q) == {"a", "x"}
-    assert isinstance(q, New)
-    assert q.name != "x"
-
-
-def test_subst_proc_respects_input_binders():
-    p = parse_process("in(a, x).out(b, x)")
-    q = subst_proc(p, {"x": Var("z")})
-    assert q == p  # x is bound, nothing to substitute
-
-
 # --- canonical forms -------------------------------------------------------
 
 
@@ -162,16 +139,6 @@ def test_congruence_frame_reorder():
     a = ExtendedProcess(("%0",), Substitution({l0: Var("%0"), l1: Var("x")}), body)
     b = ExtendedProcess(("%0",), Substitution({l1: Var("x"), l0: Var("%0")}), body)
     assert congruence_key(a) == congruence_key(b)
-
-
-# --- replication priming ---------------------------------------------------
-
-
-def test_prime_bangs():
-    p = prime_bangs(parse_process("!out(a, m)"), 3)
-    assert isinstance(p, Bang) and p.fuel == 3
-    nested = prime_bangs(parse_process("!(out(a, m) | !in(b, x))"), 2)
-    assert nested.fuel == 2 and nested.body.right.fuel == 2
 
 
 # --- random round trips ----------------------------------------------------
@@ -345,3 +312,39 @@ def test_node_constructors_check_their_fields():
         Alias("2", "l")
     with pytest.raises(ValueError):
         App(Symbol("h", 1), (Var("x"), Var("y")))
+
+
+def _leaf_classes(cls):
+    subs = cls.__subclasses__()
+    return {cls} if not subs else set().union(*map(_leaf_classes, subs))
+
+
+def test_every_process_class_has_a_layout_covering_its_fields():
+    x, y = Var("x"), Var("y")
+    guard = Out(x, y, Nil())
+    samples = [
+        Nil(),
+        New("n", guard),
+        Par(guard, Nil()),
+        Bang(guard, 2),
+        In(x, "n", guard),
+        guard,
+        Match(x, y, guard),
+        Mismatch(x, y, guard),
+        Sum(guard, guard),
+    ]
+    assert {type(p) for p in samples} == _leaf_classes(Process)
+    for p in samples:
+        cls = type(p)
+        assert "layout" in vars(cls), cls
+        msgs, binder, kids = cls.layout
+        listed = [*msgs, *kids, *([] if binder is None else [binder])]
+        assert len(set(listed)) == len(listed) and all(0 < i < len(p) for i in listed), cls
+        # every field holding a message, a process or a bound name is
+        # listed in its place; the others, such as a replication's fuel,
+        # carry over unlisted
+        for i in range(1, len(p)):
+            assert (i in msgs) == isinstance(p[i], (Var, Alias, App)), (cls, i)
+            assert (i in kids) == isinstance(p[i], Process), (cls, i)
+            assert (i == binder) == isinstance(p[i], str), (cls, i)
+    assert "layout" not in vars(Guard) and "layout" not in vars(Process)
