@@ -54,6 +54,12 @@ def test_recipe_enum_dedups_modulo_theory():
     assert Var("a") in nfs and Var("b") in nfs
 
 
+def test_recipe_enum_deterministic():
+    rs1 = recipe_enum(frozenset({L0, L1}), frozenset({"a"}), (H,), 1, Theory(()))
+    rs2 = recipe_enum(frozenset({L0, L1}), frozenset({"a"}), (H,), 1, Theory(()))
+    assert rs1 == rs2
+
+
 _ALIAS_POOL = [Alias(p, s) for p in ("", "0", "1", "01", "10") for s in ("l", "l'")]
 _THEORIES = {"empty": Theory(()), "dolev-yao": dolev_yao()}
 

@@ -1,4 +1,5 @@
-"""Located transitions, frames, reachability, and class representatives."""
+"""Located transitions, frames, reachability, the diamond property, and class
+representatives."""
 
 from dataclasses import replace
 
@@ -10,6 +11,7 @@ from latspi.lts import (
     ExplorationBounds,
     InLabel,
     default_consts,
+    diamond_check,
     enabled_transitions,
     reachable_lts,
     representative,
@@ -29,6 +31,7 @@ from latspi.syntax import (
     from_process,
     parse_process,
     prime_bangs,
+    struct_congruent,
 )
 from latspi.terms import Theory, dolev_yao
 from reference.lts import Semantics
@@ -170,7 +173,7 @@ def test_close_renames_apart_two_copies_of_a_replicated_body():
     assert states[9] == f"new %0,%1.(id | (out(c, %0) | out(%0, %1)) | (0 | in(c, %2).out(%1, %2)) | {rest})"
 
 
-# --- reachability ----------------------------------------------------------
+# --- reachability and diamonds --------------------------------------------
 
 
 def test_reachable_lts_counts():
@@ -186,6 +189,27 @@ def test_state_budget_exhaustion():
     g = reachable_lts(A, bounds, theory, signature, consts)
     assert g.budget_exhausted and g.tainted
     assert len(g.states) == 2
+
+
+def test_diamond_property_small():
+    A, theory, bounds, signature, consts = setup(
+        "new x,y,z.(out(a,x) | out(b,y) | in(c,w).out(w,z))", bounds=B0
+    )
+    g = reachable_lts(A, bounds, theory, signature, consts)
+    assert diamond_check(g, bounds, theory, signature, consts) == []
+
+
+def test_commuting_orders_reach_congruent_states():
+    A, theory, bounds, signature, consts = setup("new x.(out(a, x) | out(b, h(x)))", bounds=B0)
+    ab = step_on(
+        step_on(A, "(^a(0l), 0[])", theory, bounds, signature, consts),
+        "(^b(1l), 1[])", theory, bounds, signature, consts,
+    )
+    ba = step_on(
+        step_on(A, "(^b(1l), 1[])", theory, bounds, signature, consts),
+        "(^a(0l), 0[])", theory, bounds, signature, consts,
+    )
+    assert struct_congruent(ab, ba)
 
 
 # --- representatives ---------------------------------------------------------

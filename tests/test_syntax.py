@@ -29,6 +29,7 @@ from latspi.syntax import (
     parse_process,
     prime_bangs,
     struct_congruent,
+    subst_proc,
     to_text,
 )
 from latspi.lts import TauLabel
@@ -110,6 +111,29 @@ def test_pi_file_defaults_to_last_def():
     assert checked == parse_process("out(a, m)")
 
 
+def test_free_names():
+    p = parse_process("new x.(out(a, x) | in(b, y).out(y, c))")
+    assert free_names(p) == {"a", "b", "c"}
+
+
+# --- substitution ----------------------------------------------------------
+
+
+def test_subst_proc_capture_avoiding():
+    p = parse_process("new x.out(a, y)")
+    q = subst_proc(p, {"y": Var("x")})
+    # the binder must be renamed so the substituted x stays free
+    assert free_names(q) == {"a", "x"}
+    assert isinstance(q, New)
+    assert q.name != "x"
+
+
+def test_subst_proc_respects_input_binders():
+    p = parse_process("in(a, x).out(b, x)")
+    q = subst_proc(p, {"x": Var("z")})
+    assert q == p  # x is bound, nothing to substitute
+
+
 # --- canonical forms -------------------------------------------------------
 
 
@@ -139,6 +163,16 @@ def test_congruence_frame_reorder():
     a = ExtendedProcess(("%0",), Substitution({l0: Var("%0"), l1: Var("x")}), body)
     b = ExtendedProcess(("%0",), Substitution({l1: Var("x"), l0: Var("%0")}), body)
     assert congruence_key(a) == congruence_key(b)
+
+
+# --- replication priming ---------------------------------------------------
+
+
+def test_prime_bangs():
+    p = prime_bangs(parse_process("!out(a, m)"), 3)
+    assert isinstance(p, Bang) and p.fuel == 3
+    nested = prime_bangs(parse_process("!(out(a, m) | !in(b, x))"), 2)
+    assert nested.fuel == 2 and nested.body.right.fuel == 2
 
 
 # --- random round trips ----------------------------------------------------
