@@ -83,7 +83,7 @@ def case_from_dict(d: dict) -> CorpusCase:
     try:
         _one_of("relation", d["relation"], [r.value for r in Rel])
         _one_of("expected", d["expected"], CLASSES)
-        _one_of("theory", theory, THEORIES)
+        _one_of("theory", theory, tuple(THEORIES))
         bounds = bounds_from_dict(d.get("bounds", {}))
     except ValueError as exc:
         raise ValueError(f"corpus case {name!r}: {exc}") from None

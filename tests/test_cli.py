@@ -484,6 +484,7 @@ def _bounded_case(bounds, **fields):
         (_bounded_case({"recipe_depth": True}), "'neg': bound 'recipe_depth' must be a non-negative"),
         (_bounded_case({"game_dept": 0}), "'neg': unknown bound 'game_dept'"),
         (_bounded_case({}, theory="dolev_yao"), "'neg': field 'theory' must be one of"),
+        (_bounded_case({}, theory=["empty"]), "'neg': field 'theory' must be one of"),
         (_bounded_case({}, expected="RELATED"), "'neg': field 'expected' must be one of"),
         (_bounded_case({}, st_exhaustive=True), "'neg': unknown field 'st_exhaustive'"),
         (_bounded_case({}, theroy="empty"), "'neg': unknown field 'theroy'"),
@@ -501,6 +502,7 @@ def _bounded_case(bounds, **fields):
         "bool-bound",
         "misspelt-bound",
         "unknown-theory",
+        "list-theory",
         "unknown-class",
         "removed-field",
         "misspelt-field",
