@@ -10,9 +10,10 @@ side only.
 
 from itertools import product
 
+from latspi.knowledge import StaticWitness
 from latspi.terms import App, Var
 
-from .syntax import apply_frame
+from .syntax import rename
 
 
 def recipes(aliases, consts, signature, depth: int, theory) -> list:
@@ -42,25 +43,25 @@ def recipes(aliases, consts, signature, depth: int, theory) -> list:
     return out
 
 
-def static_scan(frame_a, frame_b, rho: dict, recipe_list, theory, both_directions: bool):
-    """``(m, n, holds_left, holds_right)`` for the first recipes ``m`` before
-    ``n`` in ``recipe_list`` whose equality holds under ``frame_a`` and not
-    under ``frame_b`` read through the alias map ``rho``, or, when
+def static_scan(frame_a, frame_b, rho, recipe_list, theory, both_directions: bool):
+    """The witness ``(m, n, holds_left, holds_right)`` of the first recipes
+    ``m`` before ``n`` in ``recipe_list`` whose equality holds under ``frame_a``
+    and not under ``frame_b`` read through the alias map ``rho``, or, when
     ``both_directions``, the other way round; ``None`` when there is none."""
     rep_a: dict = {}
     rep_b: dict = {}
     for r in recipe_list:
-        nf_a = theory.normalize(apply_frame(r, frame_a.mapping))
-        nf_b = theory.normalize(apply_frame(apply_frame(r, rho), frame_b.mapping))
+        nf_a = theory.normalize(rename(r, frame_a.mapping))
+        nf_b = theory.normalize(rename(rename(r, rho.mapping), frame_b.mapping))
         prev = rep_a.get(nf_a)
         if prev is None:
             rep_a[nf_a] = (r, nf_b)
         elif prev[1] != nf_b:
-            return prev[0], r, True, False
+            return StaticWitness(prev[0], r, True, False)
         if both_directions:
             prev = rep_b.get(nf_b)
             if prev is None:
                 rep_b[nf_b] = (r, nf_a)
             elif prev[1] != nf_a:
-                return prev[0], r, False, True
+                return StaticWitness(prev[0], r, False, True)
     return None

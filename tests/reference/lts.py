@@ -24,6 +24,7 @@ its payload, receiving its normalised image under the frame.  A channel is
 every recipe whose image is the channel's normal form.
 """
 
+from functools import cache
 from itertools import count, product
 from typing import NamedTuple
 
@@ -32,7 +33,7 @@ from latspi.syntax import Bang, ExtendedProcess, In, Match, Mismatch, New, Nil, 
 from latspi.terms import Alias, Substitution, Var
 
 from .knowledge import recipes
-from .syntax import all_names, apply_frame, congruent, fresh_names, names, rename, subst
+from .syntax import all_names, congruent, fresh_names, names, rename, subst
 
 
 class Firing(NamedTuple):
@@ -121,21 +122,11 @@ class Semantics:
     def __init__(self, bounds, theory, signature, consts):
         self.depth = bounds.recipe_depth
         self.theory, self.signature, self.consts = theory, signature, consts
-        self._recipes: dict = {}
-        self._fired: dict = {}
+        # tables of this instance, freed with it
+        self.recipes, self.fire = cache(self._recipes), cache(self._fire)
 
-    def recipes(self, domain) -> list:
-        hit = self._recipes.get(domain)
-        if hit is None:
-            hit = self._recipes[domain] = recipes(domain, self.consts, self.signature, self.depth, self.theory)
-        return hit
-
-    def fire(self, A) -> tuple[list, bool]:
-        """``(steps, tainted)`` of the state ``A``, phantom steps included."""
-        hit = self._fired.get(A)
-        if hit is None:
-            hit = self._fired[A] = self._fire(A)
-        return hit
+    def _recipes(self, domain) -> list:
+        return recipes(domain, self.consts, self.signature, self.depth, self.theory)
 
     def real_steps(self, A) -> list:
         return [s for s in self.fire(A)[0] if not s.phantom]
@@ -145,6 +136,7 @@ class Semantics:
         return next((s.residual for s in self.real_steps(A) if s.event == event), None)
 
     def _fire(self, A) -> tuple[list, bool]:
+        """``(steps, tainted)`` of the state ``A``, phantom steps included."""
         theory = self.theory
         avoid = set(A.binders) | all_names(A.body) | self.consts
         fresh = fresh_names(avoid.union(*(names(m) for _, m in A.frame.items())))
@@ -158,7 +150,7 @@ class Semantics:
         frame = A.frame
         fs, tainted = firings(A.body, theory, fresh)
         rs = self.recipes(frame.domain)
-        images = [theory.normalize(apply_frame(r, frame.mapping)) for r in rs]
+        images = [theory.normalize(rename(r, frame.mapping)) for r in rs]
         steps = []
         for f in fs:
             binders = A.binders + f.binders
@@ -189,9 +181,8 @@ APART = "endpoints not congruent"
 def diamond_violations(sem: Semantics, states, indep) -> list:
     """``(state, e0, e1, reason)`` for each pair of distinct real steps of a
     state, independent by ``indep`` (the library's relation under test),
-    that does not close a diamond: firing
-    each event again after the other step must be possible and reach
-    congruent states."""
+    that does not close a diamond: firing each event again after the other
+    step must be possible and reach congruent states."""
     out = []
     for A in states:
         steps = sem.real_steps(A)

@@ -15,7 +15,7 @@ the bijections.
 """
 
 from latspi.syntax import Bang, In, Match, Mismatch, New, Nil, Out, Par, Sum
-from latspi.terms import Alias, App, Var
+from latspi.terms import App, Var
 
 
 # --- messages --------------------------------------------------------------
@@ -38,22 +38,12 @@ def msg_symbols(m) -> frozenset:
 
 
 def rename(m, mapping: dict):
-    """``m`` with each name that ``mapping`` maps replaced by its message."""
-    if isinstance(m, Var):
-        return mapping.get(m.name, m)
+    """``m`` with each name and each alias that ``mapping`` maps replaced by
+    its message; a name is keyed by its string, an alias by itself, as in a
+    frame or an alias map."""
     if isinstance(m, App):
         return App(m.fn, tuple(rename(a, mapping) for a in m.args))
-    return m
-
-
-def apply_frame(m, mapping: dict):
-    """``m`` with each alias that ``mapping`` maps, a frame's or an alias
-    map's, replaced by its image."""
-    if isinstance(m, Alias):
-        return mapping.get(m, m)
-    if isinstance(m, App):
-        return App(m.fn, tuple(apply_frame(a, mapping) for a in m.args))
-    return m
+    return mapping.get(m.name if isinstance(m, Var) else m, m)
 
 
 # --- names, symbols and priming --------------------------------------------
@@ -99,6 +89,12 @@ def free_names(p) -> frozenset:
     """The names occurring free in ``p``."""
     msgs, x, kids = parts(p)
     return frozenset().union(*map(free_names, kids)).difference({x}).union(*map(names, msgs))
+
+
+def bound_names(p) -> list:
+    """The names that ``p``'s restrictions and inputs bind, repeats kept."""
+    _, x, kids = parts(p)
+    return [y for y in [x] if y is not None] + [y for k in kids for y in bound_names(k)]
 
 
 def all_names(p) -> frozenset:

@@ -36,7 +36,7 @@ from latspi.lts import ExplorationBounds, default_consts
 from latspi.syntax import ExtendedProcess, congruence_key, parse_process
 from latspi.terms import Alias, AliasMap, Substitution, Theory, Var, app, msg_key
 from st_oracle import ExhaustiveST, check_exhaustive
-from test_lts import _classes_are_keys
+from test_reference import _classes_are_keys
 
 B = ExplorationBounds(recipe_depth=1, static_depth=1, repl_unfold=2, game_depth=12)
 

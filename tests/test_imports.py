@@ -3,7 +3,7 @@ used in that module, every private function or class of the package is
 referenced somewhere in it, and every function that the benchmark's tracer
 wraps by name exists.  Tests import no private name of the package, and
 the reference semantics in ``tests/reference`` imports only the parser,
-the theory and the node classes."""
+the theory, the node classes and the static test's witness record."""
 
 import ast
 import importlib
@@ -49,12 +49,14 @@ def test_unused_imports_are_found():
 
 
 # what ``tests/reference`` may import from the package: the parser, the
-# theory (for ``normalize`` and ``equal``), and the node classes of
-# messages, frames, processes, states, labels, locations and events
+# theory (for ``normalize`` and ``equal``), the node classes of messages,
+# frames, processes, states, labels, locations and events, and the static
+# test's witness record
 REFERENCE_MAY_IMPORT = {
     "latspi.syntax": set("parse_process ExtendedProcess Process Guard Nil New Par Bang In Out Match Mismatch Sum".split()),
     "latspi.terms": {"Theory", "Var", "Alias", "App", "Symbol", "Substitution"},
     "latspi.lts": {"Location", "PairLoc", "OutLabel", "InLabel", "TauLabel", "Event"},
+    "latspi.knowledge": {"StaticWitness"},
 }
 # helpers of the named syntax that no test may pin
 TEST_MAY_NOT_IMPORT = {"fresh_supply", "all_names"}
@@ -81,9 +83,8 @@ def test_tests_import_only_what_they_may():
     found = {}
     for path in sorted(ROOT.glob("tests/**/*.py")):
         allowed = REFERENCE_MAY_IMPORT if path.parent.name == "reference" else None
-        if names := forbidden_imports(path.read_text(), allowed):
-            found[str(path)] = names
-    assert found == {}
+        found[str(path)] = forbidden_imports(path.read_text(), allowed)
+    assert not any(found.values()), found
 
 
 def test_forbidden_imports_are_found():

@@ -192,12 +192,6 @@ def test_frame_classes_are_keyed_on_consts():
 # --- agreement with the term-level scan ------------------------------------
 
 
-def _reference_scan(frame_a, frame_b, rho, recipes, theory, both_directions):
-    """The reference's static scan on whole terms, as a witness."""
-    found = static_scan(frame_a, frame_b, rho.mapping, recipes, theory, both_directions)
-    return None if found is None else StaticWitness(*found)
-
-
 DY_SIGNATURE = tuple(
     Symbol(name, arity)
     for name, arity in (("dec", 2), ("enc", 2), ("fst", 1), ("h", 1), ("pair", 2), ("snd", 1))
@@ -303,8 +297,8 @@ def test_interned_scan_matches_term_scan(problem):
     recipes = recipe_enum(frame_a.domain, consts, DY_SIGNATURE, depth, _DY)
     keys = set(_DY.__dict__)
     args = (frame_a, frame_b, rho, consts, DY_SIGNATURE, depth)
-    equiv = _reference_scan(frame_a, frame_b, rho, recipes, _DY, True)
-    impl = _reference_scan(frame_a, frame_b, rho, recipes, _DY, False)
+    equiv = static_scan(frame_a, frame_b, rho, recipes, _DY, True)
+    impl = static_scan(frame_a, frame_b, rho, recipes, _DY, False)
     assert static_equiv_witness(*args, dolev_yao()) == equiv  # a fresh table
     assert static_equiv_witness(*args, _DY) == equiv
     assert static_impl_witness(*args, _DY) == impl
@@ -412,6 +406,6 @@ def test_class_keyed_static_test_matches_reference(problem, rel):
     for frame_a, frame_b, rho in variants:
         reference = dolev_yao()  # no table shared with the checker's theory
         recipes = reference_recipes(frame_a.domain, consts, DY_SIGNATURE, depth, reference)
-        expected = _reference_scan(frame_a, frame_b, rho, recipes, reference, both)
+        expected = static_scan(frame_a, frame_b, rho, recipes, reference, both)
         left, right = ExtendedProcess((), frame_a, Nil()), ExtendedProcess((), frame_b, Nil())
         assert checker.static_witness(GameConfig(left, right, rho, frozenset())) == expected

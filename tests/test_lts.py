@@ -9,7 +9,6 @@ from hypothesis import example, given, settings, strategies as st
 from latspi.games import build_signature
 from latspi.lts import (
     ExplorationBounds,
-    InLabel,
     default_consts,
     diamond_check,
     enabled_transitions,
@@ -27,16 +26,12 @@ from latspi.syntax import (
     Out,
     Par,
     Sum,
-    congruence_key,
     from_process,
     parse_process,
     prime_bangs,
-    struct_congruent,
 )
 from latspi.terms import Theory, dolev_yao
-from reference.lts import Semantics
-from test_lts_systems import explore
-from test_reference import _corpus_graphs, fires_as_the_reference
+from test_reference import _corpus_graphs
 from test_syntax import _procs
 
 B1 = ExplorationBounds(recipe_depth=1, static_depth=1, repl_unfold=2, game_depth=12)
@@ -199,19 +194,6 @@ def test_diamond_property_small():
     assert diamond_check(g, bounds, theory, signature, consts) == []
 
 
-def test_commuting_orders_reach_congruent_states():
-    A, theory, bounds, signature, consts = setup("new x.(out(a, x) | out(b, h(x)))", bounds=B0)
-    ab = step_on(
-        step_on(A, "(^a(0l), 0[])", theory, bounds, signature, consts),
-        "(^b(1l), 1[])", theory, bounds, signature, consts,
-    )
-    ba = step_on(
-        step_on(A, "(^b(1l), 1[])", theory, bounds, signature, consts),
-        "(^a(0l), 0[])", theory, bounds, signature, consts,
-    )
-    assert struct_congruent(ab, ba)
-
-
 # --- representatives ---------------------------------------------------------
 
 
@@ -228,55 +210,6 @@ def test_raw_states_keep_their_free_names_apart_from_their_binders():
         "({1l -> x} | new %0.out(a, %0) | 0)",
         "new %0.({0l -> %0} o {1l -> x} | 0 | 0)",
     ]
-
-
-# --- input residuals are class keys at birth ---------------------------------
-
-
-def _inputs_are_keys(state, steps) -> int:
-    """Assert that the residual of each input step among the state's
-    ``steps`` is a class key; return the number of input steps."""
-    inputs = [s for s in steps if isinstance(s.event.action, InLabel)]
-    for s in inputs:
-        assert congruence_key(s.residual) == s.residual, (str(state), str(s.event))
-    return len(inputs)
-
-
-def _classes_are_keys(theory) -> None:
-    """Every class key of the theory is a fixed point of ``congruence_key``,
-    ids number the keys, and every state the table maps goes to its own
-    key's class."""
-    assert all(congruence_key(k) == k for k in theory.reps)
-    assert [theory.classes[k] for k in theory.reps] == list(range(len(theory.reps)))
-    assert all(congruence_key(s) == theory.reps[i] for s, i in theory.classes.items())
-
-
-# Dolev-Yao systems whose payload recipes, such as ``dec(0l, 1l)`` and
-# ``fst(0l)``, have substituted forms that rewrite
-_REWRITING_INPUTS = (
-    "new k.(out(a, enc(m, k)) | out(a, k) | in(b, x).out(c, x))",
-    "out(a, pair(m, n)) | in(b, x).new y.out(y, x)",
-)
-
-
-def test_input_steps_carry_the_keys_of_their_raw_residuals():
-    # on Dolev-Yao systems whose payload images differ from the recipes'
-    # substituted forms, the steps are the reference's; and from every state
-    # reachable in the corpus systems at their bounds, whose steps
-    # ``test_reference`` compares, as it does those of drawn states, input
-    # residuals are class keys
-    for src in _REWRITING_INPUTS:
-        graph, args = explore(src, B1, dolev_yao())
-        sem = Semantics(B1, dolev_yao(), *args[2:])
-        for state in graph.states:
-            _inputs_are_keys(state, fires_as_the_reference(state, sem, *args))
-        _classes_are_keys(args[1])
-    inputs = 0
-    for _, graph, args, _ in _corpus_graphs():
-        for state in graph.states:
-            inputs += _inputs_are_keys(state, enabled_transitions(state, *args).steps)
-        _classes_are_keys(args[1])
-    assert inputs > 400
 
 
 # --- the game graph is acyclic ----------------------------------------------

@@ -19,7 +19,7 @@ from hypothesis import example, given, settings, strategies as st
 import latspi.independence
 from latspi.corpus import THEORIES
 from latspi.games import build_signature
-from latspi.lts import ExplorationBounds, default_consts, diamond_check, enabled_transitions
+from latspi.lts import ExplorationBounds, InLabel, default_consts, diamond_check, enabled_transitions
 from latspi.syntax import (
     Bang,
     ExtendedProcess,
@@ -131,7 +131,8 @@ def test_seventy_nested_binders_are_numbered_past_any_table():
 
 def fires_as_the_reference(state, sem, bounds, theory, signature, consts) -> list:
     """Assert that the library's transitions of ``state`` are those the
-    reference semantics ``sem`` fires, and return the library's steps."""
+    reference semantics ``sem`` fires, and that each input step's residual
+    is born a class key; return the library's steps."""
     lib = enabled_transitions(state, bounds, theory, signature, consts)
     steps, tainted = sem.fire(state)
     assert lib.tainted == tainted
@@ -143,8 +144,19 @@ def fires_as_the_reference(state, sem, bounds, theory, signature, consts) -> lis
         match = next((r for r in candidates if congruent(s.residual, r)), None)
         assert match is not None, (str(state), str(s.event), str(s.residual))
         candidates.remove(match)
+        if isinstance(s.event.action, InLabel):
+            assert congruence_key(s.residual) == s.residual, (str(state), str(s.event))
     assert not any(residuals.values()), str(state)
     return lib.steps
+
+
+def _classes_are_keys(theory) -> None:
+    """Every class key of the theory is a fixed point of ``congruence_key``,
+    ids number the keys, and every state the table maps goes to its own
+    key's class."""
+    assert all(congruence_key(k) == k for k in theory.reps)
+    assert [theory.classes[k] for k in theory.reps] == list(range(len(theory.reps)))
+    assert all(congruence_key(s) == theory.reps[i] for s, i in theory.classes.items())
 
 
 def _synchronising_bangs():
@@ -188,38 +200,39 @@ _unfolded = st.integers(0, 15).flatmap(
 @example((), (parse_process("in(a, x).new y.out(y, x)"), 0))
 @example((), (parse_process("!in(a, x).out(b, x) | out(a, m)"), 2))
 def test_drawn_states_fire_as_the_reference(binders, unfolded):
-    # a drawn state and one residual per firing, fired as they are by the
-    # reference and through their class representatives by the library (an
-    # input's payloads would multiply the second round)
+    # a drawn state and every residual of its steps, phantom ones included,
+    # fired as they are by the reference and through their class
+    # representatives by the library
     p, unfold = unfolded
     p = prime_bangs(p, unfold)
     bounds, theory = ExplorationBounds(recipe_depth=1, static_depth=1, repl_unfold=unfold), Theory(())
     args = (bounds, theory, build_signature(theory, p), default_consts(p))
-    sem = _semantics("empty", 1, *args[2:])
+    sem = ref.Semantics(bounds, Theory(()), *args[2:])
     state = ExtendedProcess(tuple(binders), Substitution(), p)
-    firings = {s.event.loc: s.residual for s in fires_as_the_reference(state, sem, *args)}
-    for residual in firings.values():
+    for residual in dict.fromkeys(s.residual for s in fires_as_the_reference(state, sem, *args)):
         fires_as_the_reference(residual, sem, *args)
+    _classes_are_keys(theory)
+
+
+@pytest.fixture(autouse=True, scope="module")
+def _free_the_corpus_graphs():
+    # the largest live objects of the suite: freed after their last reader,
+    # they no longer slow every later full garbage collection
+    yield
+    _corpus_graphs.cache_clear()
 
 
 @cache
-def _semantics(preset: str, depth: int, signature, consts) -> ref.Semantics:
-    """The reference semantics of a setting, shared so that each state is fired once."""
-    return ref.Semantics(ExplorationBounds(recipe_depth=depth), THEORIES[preset](), signature, consts)
-
-
-@cache
-def _graph(src, bounds, preset: str):
-    """The library's graph of ``src``, and its arguments, on a theory of its own."""
-    return explore(src, bounds, THEORIES[preset]())
-
-
-def _corpus_graphs():
-    """Each distinct corpus system's reachable graph, the arguments of its
-    transitions, and the reference semantics of its setting."""
+def _corpus_graphs() -> list:
+    """Each distinct corpus system's name, the library's reachable graph on
+    a theory of its own, the arguments of its transitions, and the
+    reference semantics of its setting; built once, so that the tests share
+    the reference's firings."""
+    out = []
     for name, src, case in corpus_systems():
-        graph, args = _graph(src, case.bounds, case.theory)
-        yield name, graph, args, _semantics(case.theory, case.bounds.recipe_depth, *args[2:])
+        graph, args = explore(src, case.bounds, THEORIES[case.theory]())
+        out.append((name, graph, args, ref.Semantics(case.bounds, THEORIES[case.theory](), *args[2:])))
+    return out
 
 
 def test_corpus_states_fire_as_the_reference():
@@ -228,15 +241,33 @@ def test_corpus_states_fire_as_the_reference():
         for state in graph.states:
             steps += len(fires_as_the_reference(state, sem, *args))
         states += len(graph.states)
+        _classes_are_keys(args[1])
     assert states > 500 and steps > 2000  # 697 and 2,455 at this writing
+
+
+def test_rewriting_payload_images_fire_as_the_reference():
+    # Dolev-Yao systems whose payload recipes, such as ``dec(0l, 1l)`` and
+    # ``fst(0l)``, have substituted forms that rewrite, as no corpus
+    # system's do
+    bounds = ExplorationBounds(recipe_depth=1, static_depth=1, repl_unfold=2)
+    for src in (
+        "new k.(out(a, enc(m, k)) | out(a, k) | in(b, x).out(c, x))",
+        "out(a, pair(m, n)) | in(b, x).new y.out(y, x)",
+    ):
+        graph, args = explore(src, bounds, THEORIES["dolev-yao"]())
+        sem = ref.Semantics(bounds, THEORIES["dolev-yao"](), *args[2:])
+        for state in graph.states:
+            fires_as_the_reference(state, sem, *args)
+        _classes_are_keys(args[1])
 
 
 # --- the commutation axioms --------------------------------------------------
 
 
-def _diamonds(src, bounds, preset):
+def _diamonds(src, bounds, preset, sem=None):
     """The library's and the reference's diamond violations on ``src``'s
-    graph, as multisets, and whether the state budget cut the graph.  Both
+    graph, as multisets, and whether the state budget cut the graph; ``sem``
+    is the reference semantics of the setting, if one is built.  Both
     read ``latspi.independence.indep_event``, as a test may have replaced it,
     so the library explores on a new theory, whose independence table is
     empty."""
@@ -244,7 +275,7 @@ def _diamonds(src, bounds, preset):
     lib = Counter(
         (str(v.state), frozenset((v.first, v.second)), v.reason) for v in diamond_check(graph, *args)
     )
-    sem = _semantics(preset, bounds.recipe_depth, *args[2:])
+    sem = sem or ref.Semantics(bounds, THEORIES[preset](), *args[2:])
     found = ref.diamond_violations(sem, graph.states, latspi.independence.indep_event)
     reference = Counter((str(s), frozenset((e0, e1)), reason) for s, e0, e1, reason in found)
     return lib, reference, graph.budget_exhausted
@@ -265,9 +296,9 @@ def test_diamond_check_agrees_with_the_reference(monkeypatch, budget, forced):
     systems = corpus_systems()
     assert len(systems) == 34
     exhausted = missing = 0
-    for _, src, case in systems:
+    for (_, src, case), (*_, sem) in zip(systems, _corpus_graphs()):
         bounds = case.bounds if budget is None else replace(case.bounds, state_budget=budget)
-        lib, reference, cut = _diamonds(src, bounds, case.theory)
+        lib, reference, cut = _diamonds(src, bounds, case.theory, sem)
         assert lib == reference, (case.name, src)
         exhausted += cut
         missing += sum(n for (_, _, reason), n in lib.items() if reason == ref.MISSING)

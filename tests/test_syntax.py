@@ -34,6 +34,7 @@ from latspi.syntax import (
 )
 from latspi.lts import TauLabel
 from latspi.terms import ID, Alias, App, ResourceLimitExceeded, Substitution, Symbol, Var, app, msg_key
+from reference.syntax import bound_names
 
 
 # --- parsing and printing --------------------------------------------------
@@ -229,22 +230,6 @@ def test_alpha_canonical_stable(p):
     assert alpha_canonical(a) == a
 
 
-def _binders(p: Process) -> list[str]:
-    """The names that ``p``'s restrictions and inputs bind, repeats kept."""
-    names = []
-    todo = [p]
-    for q in todo:  # the loop visits the children it appends
-        if isinstance(q, New):
-            names.append(q.name)
-        elif isinstance(q, In):
-            names.append(q.binder)
-        if isinstance(q, (Par, Sum)):
-            todo += [q.left, q.right]
-        elif not isinstance(q, Nil):
-            todo.append(q.body)
-    return names
-
-
 @settings(max_examples=100, deadline=None)
 @given(st.lists(_names, unique=True, max_size=3), _procs())
 @example(("x",), parse_process("new x.(out(a, x) | in(x, y).new y.out(y, x)) | new a.in(a, x)"))
@@ -253,7 +238,7 @@ def test_canonical_forms_give_every_binder_a_name_of_its_own(binders, p):
     # which is sound only on states with this invariant
     A = ExtendedProcess(tuple(binders), ID, p)
     for canon in (alpha_canonical(A), congruence_key(A)):
-        names = _binders(canon.body)
+        names = bound_names(canon.body)
         assert len(set(names)) == len(names)
         assert not set(names) & (set(canon.binders) | free_names(canon.body))
 
