@@ -16,6 +16,7 @@ from .terms import (
     ID,
     ID_ALIAS,
     Message,
+    NestingLimitExceeded,
     ResourceLimitExceeded,
     RewriteBudgetExceeded,
     RewriteRule,

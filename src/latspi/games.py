@@ -46,6 +46,19 @@ representatives of its two classes, so a raw successor is canonicalised
 only when the search visits it, and transitions and frame partitions are
 computed once per class.
 
+What does not depend on the relation is shared per theory, by every
+checker and replay on it: the class, transition and independence tables,
+and the static tests.  ``Checker.static_witness`` reads the theory's
+``statics`` table, keyed on the checker's static context (one way or
+both, ``consts``, the signature and the static depth), the two
+representatives' frame objects and the alias map's key; so the 13
+relations on one pair, and their replays, decide each static test once.
+A checker keeps two things for itself.  Its memo holds verdicts under its
+own relation.  Its transition sets, one per class id, are fetched from the
+theory on the first read, and a tainted set taints the checker then; so a
+checker's taint is that of the sets it read, whichever checker first
+computed them.
+
 Maximal retention is optimal.  Take two configurations with the same states
 and the same ``rho``, and pair sets ``P ⊆ P′``.  Every leader win from ``P``
 within ``k`` rounds is also a leader win from ``P′`` within ``k`` rounds.
@@ -152,6 +165,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .independence import indep_event, indep_ids, indep_loc
 from .knowledge import StaticWitness, static_equiv_witness, static_impl_witness
@@ -161,12 +175,10 @@ from .lts import (
     InLabel,
     OutLabel,
     Step,
-    TauLabel,
     TransitionSet,
     default_consts,
     enabled_transitions,
     event_key,
-    representative,
     state_class,
 )
 from .syntax import (
@@ -176,7 +188,7 @@ from .syntax import (
     prime_bangs,
     symbols_of,
 )
-from .terms import AliasMap, ID_ALIAS, Symbol, Theory
+from .terms import AliasMap, ID_ALIAS, Symbol, Theory, nesting_limited
 
 
 class Rel(Enum):
@@ -231,8 +243,7 @@ ORDER = (
 )
 
 
-@dataclass(frozen=True)
-class GameConfig:
+class GameConfig(NamedTuple):
     left: ExtendedProcess
     right: ExtendedProcess
     rho: AliasMap
@@ -283,6 +294,9 @@ class Verdict:
 # from which a leader could still move
 _CUT = object()
 
+# a lookup's default that no table stores
+_MISS = object()
+
 
 class Checker:
     def __init__(
@@ -307,16 +321,27 @@ class Checker:
             self.indep_test = lambda e0, e1: indep_loc(e0.loc, e1.loc)
         else:
             self.indep_table, self.indep_test = theory.indep, indep_event
+        # the theory's static tests in this checker's static context, looked
+        # up once here so that no test hashes the signature
+        context = (rel.one_way, consts, signature, bounds.static_depth)
+        self.statics = theory.statics.setdefault(context, {})
         self.memo: dict = {}
+        # class id -> its transitions, as read by this checker
+        self.tsets: dict = {}
         self.tainted = False
 
     # -- primitives --
 
-    def transitions(self, state: ExtendedProcess) -> TransitionSet:
-        """Transitions of the state's class."""
-        tset = enabled_transitions(state, self.bounds, self.theory, self.signature, self.consts)
-        if tset.tainted:
-            self.tainted = True
+    def transitions(self, cid: int) -> TransitionSet:
+        """Transitions of the class with id ``cid``, fetched from the theory
+        once per checker; a tainted set taints the checker."""
+        tset = self.tsets.get(cid)
+        if tset is None:
+            rep = self.theory.reps[cid]
+            tset = enabled_transitions(rep, self.bounds, self.theory, self.signature, self.consts)
+            self.tsets[cid] = tset
+            if tset.tainted:
+                self.tainted = True
         return tset
 
     def indep(self, i: int, j: int) -> bool:
@@ -327,27 +352,35 @@ class Checker:
 
     def static_witness(self, cfg: GameConfig) -> StaticWitness | None:
         """The static test of the configuration's frames, up to ``rho``:
-        one way or both, as the relation declares."""
-        left, right, depth = cfg.left.frame, cfg.right.frame, self.bounds.static_depth
-        return self.static_test(left, right, cfg.rho, self.consts, self.signature, depth, self.theory)
+        one way or both, as the relation declares.  Decided once per
+        (static context, frames, ``rho``) per theory."""
+        left, right, rho = cfg.left.frame, cfg.right.frame, cfg.rho
+        key = (left, right, rho.key())
+        w = self.statics.get(key, _MISS)
+        if w is _MISS:
+            depth = self.bounds.static_depth
+            w = self.static_test(left, right, rho, self.consts, self.signature, depth, self.theory)
+            self.statics[key] = w
+        return w
 
     def match_label(self, left_action, right_action, rho: AliasMap) -> AliasMap | None:
         """Extension of ``rho`` under which the left label maps onto the
         right label, or ``None``."""
-        if isinstance(left_action, TauLabel) and isinstance(right_action, TauLabel):
-            return rho
-        if isinstance(left_action, InLabel) and isinstance(right_action, InLabel):
-            if rho(left_action.chan) == right_action.chan and rho(left_action.payload) == right_action.payload:
-                return rho
+        kind = type(left_action)
+        if kind is not type(right_action):
             return None
-        if isinstance(left_action, OutLabel) and isinstance(right_action, OutLabel):
+        if kind is OutLabel:
             if rho(left_action.chan) != right_action.chan:
                 return None
             try:
                 return rho.extend(left_action.alias, right_action.alias)
             except ValueError:
                 return None
-        return None
+        if kind is InLabel:
+            if rho(left_action.chan) == right_action.chan and rho(left_action.payload) == right_action.payload:
+                return rho
+            return None
+        return rho  # two silent steps
 
     # -- round structure --
 
@@ -359,9 +392,12 @@ class Checker:
         if discipline == "none":
             return (), None
         j = 0 if side == "left" else 1
+        table = self.indep_table
         demands, kept = [], []
         for p in cfg.pairs:
-            bit = self.indep(p[j], eid)
+            bit = table.get((p[j], eid))
+            if bit is None:
+                bit = self.indep(p[j], eid)
             if bit or discipline != "st":
                 demands.append((p[1 - j], bit))
             if bit or discipline == "ind":
@@ -374,26 +410,37 @@ class Checker:
         ``answers``: pairs of the answering event and the successor
         configuration, each built only when the caller asks for it."""
         demands, kept = ctx
-        indep = self.indep
+        match_label = self.match_label
         event, target = step.event, step.residual
         # the follower may draw on phantom firings (beyond the replication
         # budget); the enclosing transition set is already tainted
         for answer in answers:
             event2 = answer.event
             if side == "left":
-                rho2 = self.match_label(event.action, event2.action, cfg.rho)
+                rho2 = match_label(event.action, event2.action, cfg.rho)
                 pair = (step.eid, answer.eid)
                 left2, right2 = target, answer.residual
             else:
-                rho2 = self.match_label(event2.action, event.action, cfg.rho)
+                rho2 = match_label(event2.action, event.action, cfg.rho)
                 pair = (answer.eid, step.eid)
                 left2, right2 = answer.residual, target
             if rho2 is None:
                 continue
-            if demands and any(indep(d, answer.eid) != want for d, want in demands):
+            if demands and not self._meets(demands, answer.eid):
                 continue
             pairs = frozenset() if kept is None else frozenset((*kept, pair))
             yield event2, GameConfig(left2, right2, rho2, pairs)
+
+    def _meets(self, demands, eid: int) -> bool:
+        """Whether the answer's event ``eid`` meets every demand."""
+        table = self.indep_table
+        for d, want in demands:
+            bit = table.get((d, eid))
+            if bit is None:
+                bit = self.indep(d, eid)
+            if bit != want:
+                return False
+        return True
 
     def failure_witness(
         self, cfg: GameConfig, left: TransitionSet, right: TransitionSet
@@ -412,7 +459,14 @@ class Checker:
     def memo_key(self, cfg: GameConfig) -> tuple:
         """The configuration's key in ``memo``: the ids of its two states'
         classes, its alias map's key and its remembered pairs."""
-        left, right = state_class(cfg.left, self.theory), state_class(cfg.right, self.theory)
+        theory = self.theory
+        classes = theory.classes
+        left = classes.get(cfg.left)
+        if left is None:
+            left = state_class(cfg.left, theory)
+        right = classes.get(cfg.right)
+        if right is None:
+            right = state_class(cfg.right, theory)
         return (left, right, cfg.rho.key(), cfg.pairs)
 
     def run(self, cfg: GameConfig, depth: int = 0):
@@ -420,10 +474,11 @@ class Checker:
         bounds.  The configuration is decided on its class representatives;
         it never recurs below itself (see the module docstring)."""
         key = self.memo_key(cfg)
-        if key in self.memo:
-            return self.memo[key]
+        node = self.memo.get(key, _MISS)
+        if node is not _MISS:
+            return node
         reps = self.theory.reps
-        node = self._decide(GameConfig(reps[key[0]], reps[key[1]], cfg.rho, cfg.pairs), depth)
+        node = self._decide(GameConfig(reps[key[0]], reps[key[1]], cfg.rho, cfg.pairs), key, depth)
         if node is _CUT:
             # not memoized: a shallower visit must search on from here
             self.tainted = True
@@ -431,31 +486,28 @@ class Checker:
         self.memo[key] = node
         return node
 
-    def _decide(self, cfg: GameConfig, depth: int):
+    def _decide(self, cfg: GameConfig, key: tuple, depth: int):
+        """Refutation of ``cfg``, whose states are the representatives of
+        the classes ``key[0]`` and ``key[1]`` (its ``memo_key``), or
+        ``None``, or ``_CUT``."""
         w = self.static_witness(cfg)
         if w is not None:
             return StaticNode(w.m, w.n, w.holds_left, w.holds_right)
-        tsets = {}  # side -> its transitions, fetched when first needed
-
-        def fetch(side: str) -> TransitionSet:
-            tset = tsets.get(side)
-            if tset is None:
-                tset = tsets[side] = self.transitions(cfg.left if side == "left" else cfg.right)
-            return tset
-
+        transitions = self.transitions
         if self.failure_round:
-            fnode = self.failure_witness(cfg, fetch("left"), fetch("right"))
+            fnode = self.failure_witness(cfg, transitions(key[0]), transitions(key[1]))
             if fnode is not None:
                 return fnode
         if depth >= self.bounds.game_depth:
             # the cut leaves a play unfinished only where a leader can move
-            return _CUT if any(fetch(side).real_steps for side in self.sides) else None
+            leaders = key[: len(self.sides)]  # the leading sides' class ids
+            return _CUT if any(transitions(cid).real_steps for cid in leaders) else None
         for side in self.sides:
-            follower = "right" if side == "left" else "left"
-            for step in fetch(side).real_steps:
+            leader, follower = (key[0], key[1]) if side == "left" else (key[1], key[0])
+            for step in transitions(leader).real_steps:
                 ctx = self.rule(cfg, side, step.eid)
                 refutations = []
-                for event2, cfg2 in self.legal_replies(cfg, side, step, ctx, fetch(follower).steps):
+                for event2, cfg2 in self.legal_replies(cfg, side, step, ctx, transitions(follower).steps):
                     child = self.run(cfg2, depth + 1)
                     if child is None:
                         break
@@ -491,6 +543,7 @@ def _checker(
     return Checker(rel, theory, bounds, signature, consts)
 
 
+@nesting_limited
 def check(rel: Rel, p: Process, q: Process, bounds: ExplorationBounds, theory: Theory) -> Verdict:
     """Decide whether ``p`` relates to ``q`` within the given bounds."""
     checker = _checker(rel, p, q, bounds, theory)
@@ -510,6 +563,7 @@ def check(rel: Rel, p: Process, q: Process, bounds: ExplorationBounds, theory: T
 # --- replay ----------------------------------------------------------------
 
 
+@nesting_limited
 def witness_replay(verdict: Verdict, p: Process, q: Process, theory: Theory) -> bool:
     """Re-verify a distinguishing witness against a fresh game: every node
     must correspond to a legal leader move whose recorded answers are
@@ -521,10 +575,9 @@ def witness_replay(verdict: Verdict, p: Process, q: Process, theory: Theory) -> 
 
 
 def _replay_node(checker: Checker, cfg: GameConfig, node) -> bool:
-    theory = checker.theory
-    cfg = GameConfig(
-        representative(cfg.left, theory), representative(cfg.right, theory), cfg.rho, cfg.pairs
-    )
+    key = checker.memo_key(cfg)
+    reps = checker.theory.reps
+    cfg = GameConfig(reps[key[0]], reps[key[1]], cfg.rho, cfg.pairs)
     if isinstance(node, StaticNode):
         w = checker.static_witness(cfg)
         return (
@@ -537,7 +590,7 @@ def _replay_node(checker: Checker, cfg: GameConfig, node) -> bool:
     if isinstance(node, FailureNode):
         if not checker.failure_round or checker.static_witness(cfg) is not None:
             return False
-        left, right = checker.transitions(cfg.left), checker.transitions(cfg.right)
+        left, right = checker.transitions(key[0]), checker.transitions(key[1])
         fnode = checker.failure_witness(cfg, left, right)
         return fnode is not None and fnode.event == node.event
     if isinstance(node, LeadNode):
@@ -545,7 +598,7 @@ def _replay_node(checker: Checker, cfg: GameConfig, node) -> bool:
             return False
         if node.side not in checker.sides:
             return False
-        leader, follower = (cfg.left, cfg.right) if node.side == "left" else (cfg.right, cfg.left)
+        leader, follower = (key[0], key[1]) if node.side == "left" else (key[1], key[0])
         for step in checker.transitions(leader).real_steps:
             if step.event != node.event:
                 continue

@@ -76,6 +76,7 @@ from .terms import (
     Var,
     apply_msg_subst,
     msg_key,
+    nesting_limited,
 )
 
 # most recipes ``recipe_template`` lists before raising ``RecipeLimitExceeded``
@@ -286,6 +287,7 @@ def _static_test(frame_a, frame_b, rho, consts, signature, depth, theory, both_d
     return StaticWitness(rename(template[j]), rename(template[k]), holds_left, holds_right)
 
 
+@nesting_limited
 def static_equiv_witness(
     frame_a,
     frame_b,
@@ -303,6 +305,7 @@ def static_equiv_witness(
     return _static_test(frame_a, frame_b, rho, consts, signature, depth, theory, True)
 
 
+@nesting_limited
 def static_impl_witness(
     frame_a,
     frame_b,

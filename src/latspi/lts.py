@@ -72,6 +72,7 @@ from .terms import (
     free_aliases,
     free_vars,
     msg_key,
+    nesting_limited,
 )
 from .syntax import (
     NAME,
@@ -612,6 +613,7 @@ class LTSGraph:
     budget_exhausted: bool = False
 
 
+@nesting_limited
 def reachable_lts(
     A: ExtendedProcess,
     bounds: ExplorationBounds,
@@ -662,6 +664,7 @@ class DiamondViolation:
     reason: str
 
 
+@nesting_limited
 def diamond_check(
     graph: LTSGraph,
     bounds: ExplorationBounds,

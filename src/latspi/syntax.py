@@ -49,8 +49,8 @@ from .terms import (
     ID,
     App,
     Message,
+    NestingLimitExceeded,
     Node,
-    ResourceLimitExceeded,
     Substitution,
     Symbol,
     Var,
@@ -65,7 +65,7 @@ class ParseError(Exception):
     pass
 
 
-class ParseDepthExceeded(ResourceLimitExceeded):
+class ParseDepthExceeded(NestingLimitExceeded):
     """The input nests deeper than the parser can recurse."""
 
 

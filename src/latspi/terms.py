@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from bisect import bisect
 from dataclasses import dataclass
+from functools import wraps
 from operator import itemgetter
 from typing import Iterable, Mapping
 
@@ -31,11 +32,32 @@ from typing import Iterable, Mapping
 class ResourceLimitExceeded(Exception):
     """A computation stopped at one of the package's fixed resource limits:
     a recipe count, a rewrite step budget, a count of listed pairs, the
-    parser's nesting depth."""
+    nesting depth that the package's recursive walks can follow."""
 
 
 class RewriteBudgetExceeded(ResourceLimitExceeded):
     """Raised when a single normalization exceeds its step budget."""
+
+
+class NestingLimitExceeded(ResourceLimitExceeded):
+    """A term or process nests deeper than the package's recursive walks
+    can follow under the interpreter's recursion limit."""
+
+
+def nesting_limited(fn):
+    """``fn`` with a ``RecursionError`` raised as ``NestingLimitExceeded``.
+    The package walks terms and processes recursively, so a deep enough
+    input exhausts the interpreter's stack in one of many walks; the
+    decision procedures' entry points report that as a resource limit."""
+
+    @wraps(fn)
+    def limited(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except RecursionError:
+            raise NestingLimitExceeded(f"input nests deeper than {fn.__name__} can recurse") from None
+
+    return limited
 
 
 class TheoryError(Exception):
@@ -266,6 +288,11 @@ class Theory:
         # of their locations (``games.Checker``)
         self.indep: dict = {}
         self.indep_locs: dict = {}
+        # static context (one way, consts, signature, static depth) ->
+        # (left frame, right frame, alias map's key) -> the static test's
+        # witness, or ``None`` (``games.Checker.static_witness``); the frames
+        # are representatives' shared frame objects
+        self.statics: dict = {}
 
     def symbols(self) -> frozenset[Symbol]:
         syms: frozenset[Symbol] = frozenset()

@@ -35,11 +35,11 @@ class ExhaustiveST(Checker):
             chosen = [i for i in range(len(kept)) if mask >> i & 1]
             yield [demands[i] for i in chosen], [kept[i] for i in chosen]
 
-    def _decide(self, cfg, depth):
+    def _decide(self, cfg, key, depth):
         w = self.static_witness(cfg)
         if w is not None:
             return StaticNode(w.m, w.n, w.holds_left, w.holds_right)
-        tsets = {"left": self.transitions(cfg.left), "right": self.transitions(cfg.right)}
+        tsets = {"left": self.transitions(key[0]), "right": self.transitions(key[1])}
         if self.failure_round:
             fnode = self.failure_witness(cfg, tsets["left"], tsets["right"])
             if fnode is not None:

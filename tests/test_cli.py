@@ -12,8 +12,16 @@ from latspi.cli import PairLimitExceeded, main, parse_bounds
 from latspi.games import Rel
 from latspi.knowledge import RecipeLimitExceeded
 from latspi.lts import ExplorationBounds
-from latspi.syntax import ParseDepthExceeded
-from latspi.terms import ResourceLimitExceeded, RewriteBudgetExceeded
+from latspi.syntax import ParseDepthExceeded, parse_process
+from latspi.terms import (
+    Alias,
+    AliasMap,
+    NestingLimitExceeded,
+    ResourceLimitExceeded,
+    RewriteBudgetExceeded,
+    Substitution,
+    Theory,
+)
 
 
 @pytest.fixture
@@ -399,8 +407,10 @@ def test_resource_limits_share_one_exported_base():
     assert latspi.RecipeLimitExceeded is RecipeLimitExceeded
     assert latspi.RewriteBudgetExceeded is RewriteBudgetExceeded
     assert latspi.ParseDepthExceeded is ParseDepthExceeded
-    for exc in (RecipeLimitExceeded, RewriteBudgetExceeded, PairLimitExceeded, ParseDepthExceeded):
+    assert latspi.NestingLimitExceeded is NestingLimitExceeded
+    for exc in (RecipeLimitExceeded, RewriteBudgetExceeded, PairLimitExceeded, NestingLimitExceeded):
         assert issubclass(exc, latspi.ResourceLimitExceeded)
+    assert issubclass(ParseDepthExceeded, NestingLimitExceeded)
 
 
 @pytest.mark.parametrize("command", ["parse", "check"])
@@ -410,6 +420,23 @@ def test_deep_input_exits_two(files, capsys, command):
     deep = files("deep.pi", ".".join(f"out(a, m{i})" for i in range(3000)))
     argv = ("parse", deep) if command == "parse" else ("check", "sim-i", deep, deep)
     code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: resource limit hit: ") and "Traceback" not in err
+
+
+def test_deep_message_is_a_typed_resource_limit(files, capsys):
+    # 500 nested applications parse, but canonicalising the state recurses
+    # deeper than the interpreter allows: a library caller gets a typed
+    # error, not a bare RecursionError, and the command line exits 2
+    src = "out(a, " + "h(" * 500 + "m" + ")" * 500 + ")"
+    p = parse_process(src)
+    with pytest.raises(NestingLimitExceeded):
+        latspi.check(Rel.SIM_I, p, p, ExplorationBounds(), Theory(()))
+    frame = Substitution({Alias("0", "l"): p.payload})
+    with pytest.raises(NestingLimitExceeded):
+        latspi.static_equiv_witness(frame, frame, AliasMap(), frozenset(), (), 0, Theory(()))
+    deep = files("deep.pi", src)
+    code, out, err = run(capsys, "check", "sim-i", deep, deep)
     assert code == 2 and out == ""
     assert err.startswith("error: resource limit hit: ") and "Traceback" not in err
 

@@ -179,10 +179,12 @@ def test_failure_round_keeps_maximal_retention_under_st_exhaustive():
     signature, consts = build_signature(theory, p, q), default_consts(p, q)
     checker = ExhaustiveST(Rel.FSIM_ST, theory, B, signature, consts)
     cfg = initial_config(p, q, B)
-    (step,) = checker.transitions(cfg.left).real_steps
+    cid_l, cid_r, *_ = checker.memo_key(cfg)  # the two states' class ids
+    (step,) = checker.transitions(cid_l).real_steps
     (ctx,) = checker.contexts(cfg, "left", step.eid)
-    _, cfg2 = next(checker.legal_replies(cfg, "left", step, ctx, checker.transitions(cfg.right).steps))
-    left, right = checker.transitions(cfg2.left), checker.transitions(cfg2.right)
+    _, cfg2 = next(checker.legal_replies(cfg, "left", step, ctx, checker.transitions(cid_r).steps))
+    cid_l, cid_r, *_ = checker.memo_key(cfg2)
+    left, right = checker.transitions(cid_l), checker.transitions(cid_r)
     (step_r,) = right.real_steps
     empty = next(checker.contexts(cfg2, "right", step_r.eid))
     assert empty == ([], []) and list(checker.legal_replies(cfg2, "right", step_r, empty, left.steps))
@@ -379,6 +381,40 @@ def test_each_frame_is_partitioned_once_per_theory(monkeypatch):
     for rel, v in zip(Rel, verdicts):
         assert check(rel, p, q, case.bounds, theory) == v
     assert normalized == []
+
+
+def test_each_static_test_is_decided_once_per_theory(monkeypatch):
+    # the 13 relations and their replays on one pair share one theory, and
+    # so one static test per (static context, frames, rho)
+    case = next(c for c in load_corpus() if c.name == "error-reveal-bang-fsim-st")
+    theory = case_theory(case)
+    keys = []
+    for name in ("static_equiv_witness", "static_impl_witness"):
+
+        def counting(left, right, rho, consts, signature, depth, th, _test=getattr(games, name)):
+            keys.append((_test, consts, signature, depth, left, right, rho.key()))
+            return _test(left, right, rho, consts, signature, depth, th)
+
+        monkeypatch.setattr(games, name, counting)
+    p, q = parse_process(case.left), parse_process(case.right)
+    for rel in Rel:
+        v = check(rel, p, q, case.bounds, theory)
+        assert v.related or witness_replay(v, p, q, theory)
+    assert len(keys) > 10 and len(keys) == len(set(keys))
+    assert len(keys) == sum(len(tests) for tests in theory.statics.values())
+
+
+def test_a_warm_theory_gives_each_case_its_fresh_verdict(corpus_runs):
+    # the tables that every relation on the case's pair fills first must not
+    # change the case's class or witness: a checker that reads a tainted
+    # transition set that another checker fetched first is tainted too
+    for case, result, fresh in corpus_runs:
+        theory = case_theory(case)
+        p, q = parse_process(case.left), parse_process(case.right)
+        for rel in Rel:
+            check(rel, p, q, case.bounds, theory)
+        v = check(case.relation, p, q, case.bounds, theory)
+        assert verdict_class(v) == result.actual and v.witness == fresh.witness, case.name
 
 
 # --- congruence-class ids --------------------------------------------------

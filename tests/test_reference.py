@@ -202,7 +202,8 @@ _unfolded = st.integers(0, 15).flatmap(
 def test_drawn_states_fire_as_the_reference(binders, unfolded):
     # a drawn state and every residual of its steps, phantom ones included,
     # fired as they are by the reference and through their class
-    # representatives by the library
+    # representatives by the library; and the drawn state's two-step paths
+    # commute sequentially wherever the library's ``indep_event`` says so
     p, unfold = unfolded
     p = prime_bangs(p, unfold)
     bounds, theory = ExplorationBounds(recipe_depth=1, static_depth=1, repl_unfold=unfold), Theory(())
@@ -212,6 +213,8 @@ def test_drawn_states_fire_as_the_reference(binders, unfolded):
     for residual in dict.fromkeys(s.residual for s in fires_as_the_reference(state, sem, *args)):
         fires_as_the_reference(residual, sem, *args)
     _classes_are_keys(theory)
+    _, violations = ref.commutation_violations(sem, [state], latspi.independence.indep_event)
+    assert violations == [], [(str(s), str(e0), str(e1)) for s, e0, e1 in violations]
 
 
 @pytest.fixture(autouse=True, scope="module")
