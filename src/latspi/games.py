@@ -9,6 +9,20 @@ label agrees up to the alias bijection and which meets the relation's
 independence constraints against the remembered pairs.  Frames are compared
 by static tests at every configuration.
 
+Answers are looked up by label.  A transition set groups its steps by
+label up to the alias an output binds (``lts.TransitionSet.by_label``), and
+``Checker.legal_replies`` maps the leader's label once onto the follower's
+frame, through ``rho`` for a left-led move and through ``rho``'s inverse
+for a right-led one and the failure round, and reads that label's steps
+alone.  This is exact.  In every game configuration ``rho`` is a bijection
+from the left frame's domain onto the right frame's: both frames start
+empty under the empty map, and an output extends each frame and ``rho`` by
+one alias fresh for its frame.  Every recipe of a label is over its own
+frame's domain and the public names, and ``rho`` applied to such recipes is
+injective, so ``rho(l) = r`` exactly when ``l = rho⁻¹(r)``.  For the same
+reason the two fresh aliases of a pair of outputs always extend ``rho``, so
+only outputs extend it, and never fail to.
+
 Remembered pairs are pairs of event ids: ``enabled_transitions`` interns
 each step's event in the theory's table (``lts.event_id``), so a pair set
 is a set of int pairs, and the independence of two events, or of their
@@ -172,13 +186,11 @@ from .knowledge import StaticWitness, static_equiv_witness, static_impl_witness
 from .lts import (
     Event,
     ExplorationBounds,
-    InLabel,
     OutLabel,
     Step,
     TransitionSet,
     default_consts,
     enabled_transitions,
-    event_key,
     state_class,
 )
 from .syntax import (
@@ -363,25 +375,6 @@ class Checker:
             self.statics[key] = w
         return w
 
-    def match_label(self, left_action, right_action, rho: AliasMap) -> AliasMap | None:
-        """Extension of ``rho`` under which the left label maps onto the
-        right label, or ``None``."""
-        kind = type(left_action)
-        if kind is not type(right_action):
-            return None
-        if kind is OutLabel:
-            if rho(left_action.chan) != right_action.chan:
-                return None
-            try:
-                return rho.extend(left_action.alias, right_action.alias)
-            except ValueError:
-                return None
-        if kind is InLabel:
-            if rho(left_action.chan) == right_action.chan and rho(left_action.payload) == right_action.payload:
-                return rho
-            return None
-        return rho  # two silent steps
-
     # -- round structure --
 
     def rule(self, cfg: GameConfig, side: str, eid: int) -> tuple:
@@ -404,30 +397,36 @@ class Checker:
                 kept.append(p)
         return demands, kept
 
-    def legal_replies(self, cfg: GameConfig, side: str, step: Step, ctx, answers: list):
+    def legal_replies(self, cfg: GameConfig, side: str, step: Step, ctx, follower: TransitionSet):
         """The follower's answers to a leader step in the context
-        ``(demands, kept)``, drawn in order from the follower's steps
-        ``answers``: pairs of the answering event and the successor
-        configuration, each built only when the caller asks for it."""
+        ``(demands, kept)``, drawn in order from the follower's transitions:
+        pairs of the answering event and the successor configuration, each
+        built only when the caller asks for it.
+
+        The leader's label is mapped once onto the follower's frame, through
+        ``rho`` for a left-led move and through its inverse otherwise, and
+        only the follower's steps with that label are read
+        (``TransitionSet.matching``; the module docstring shows that they are
+        exactly the answering ones)."""
         demands, kept = ctx
-        match_label = self.match_label
-        event, target = step.event, step.residual
+        action, target = step.event.action, step.residual
+        kind = type(action)
+        left_led = side == "left"
+        rho = cfg.rho
         # the follower may draw on phantom firings (beyond the replication
         # budget); the enclosing transition set is already tainted
-        for answer in answers:
-            event2 = answer.event
-            if side == "left":
-                rho2 = match_label(event.action, event2.action, cfg.rho)
-                pair = (step.eid, answer.eid)
-                left2, right2 = target, answer.residual
-            else:
-                rho2 = match_label(event2.action, event.action, cfg.rho)
-                pair = (answer.eid, step.eid)
-                left2, right2 = answer.residual, target
-            if rho2 is None:
-                continue
+        for answer in follower.matching(action, rho if left_led else rho.inverse()):
             if demands and not self._meets(demands, answer.eid):
                 continue
+            event2 = answer.event
+            if left_led:
+                pair = (step.eid, answer.eid)
+                left2, right2 = target, answer.residual
+                rho2 = rho.extend(action.alias, event2.action.alias) if kind is OutLabel else rho
+            else:
+                pair = (answer.eid, step.eid)
+                left2, right2 = answer.residual, target
+                rho2 = rho.extend(event2.action.alias, action.alias) if kind is OutLabel else rho
             pairs = frozenset() if kept is None else frozenset((*kept, pair))
             yield event2, GameConfig(left2, right2, rho2, pairs)
 
@@ -450,7 +449,7 @@ class Checker:
         with maximal retention."""
         for step_r in right.real_steps:
             ctx = self.rule(cfg, "right", step_r.eid)
-            if next(self.legal_replies(cfg, "right", step_r, ctx, left.steps), None) is None:
+            if next(self.legal_replies(cfg, "right", step_r, ctx, left), None) is None:
                 return FailureNode(step_r.event)
         return None
 
@@ -507,7 +506,7 @@ class Checker:
             for step in transitions(leader).real_steps:
                 ctx = self.rule(cfg, side, step.eid)
                 refutations = []
-                for event2, cfg2 in self.legal_replies(cfg, side, step, ctx, transitions(follower).steps):
+                for event2, cfg2 in self.legal_replies(cfg, side, step, ctx, transitions(follower)):
                     child = self.run(cfg2, depth + 1)
                     if child is None:
                         break
@@ -603,15 +602,11 @@ def _replay_node(checker: Checker, cfg: GameConfig, node) -> bool:
             if step.event != node.event:
                 continue
             ctx = checker.rule(cfg, node.side, step.eid)
-            answers = checker.transitions(follower).steps
-            replies = list(checker.legal_replies(cfg, node.side, step, ctx, answers))
-            recorded = {event_key(r.event): r for r in node.replies}
-            if {event_key(e) for e, _ in replies} != set(recorded):
+            replies = list(checker.legal_replies(cfg, node.side, step, ctx, checker.transitions(follower)))
+            recorded = {r.event: r for r in node.replies}
+            if {e for e, _ in replies} != recorded.keys():
                 continue
-            if all(
-                _replay_node(checker, cfg2, recorded[event_key(e)].child)
-                for e, cfg2 in replies
-            ):
+            if all(_replay_node(checker, cfg2, recorded[e].child) for e, cfg2 in replies):
                 return True
         return False
     return False

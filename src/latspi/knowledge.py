@@ -188,21 +188,25 @@ class StaticWitness:
 # --- frame classes ---------------------------------------------------------
 
 
+def _encode(m: Message, consts: frozenset[str], numbers: dict):
+    """``m`` with every name outside ``consts`` replaced by its number in
+    ``numbers``, a name met first numbered next, and an application encoded
+    as ``(symbol, *arguments)``."""
+    kind = type(m)
+    if kind is App:
+        return (m.fn, *[_encode(a, consts, numbers) for a in m.args])
+    if kind is Var and m.name not in consts:
+        return numbers.setdefault(m, len(numbers))
+    return m
+
+
 def _class_key(images, consts: frozenset[str]) -> tuple:
     """``consts`` and the images with every name outside ``consts``
-    numbered by first occurrence, an application encoded as ``(symbol,
-    *arguments)``."""
+    numbered by first occurrence (``_encode``).  A module-level encoder,
+    not a recursive closure, so that interning leaves no reference cycle
+    for the cycle collector."""
     numbers: dict = {}
-
-    def encode(m):
-        kind = type(m)
-        if kind is App:
-            return (m.fn, *[encode(a) for a in m.args])
-        if kind is Var and m.name not in consts:
-            return numbers.setdefault(m, len(numbers))
-        return m
-
-    return (consts, *[encode(m) for m in images])
+    return (consts, *[_encode(m, consts, numbers) for m in images])
 
 
 def _intern_class(images: tuple, consts: frozenset[str], theory: Theory) -> int:

@@ -38,6 +38,18 @@ that the key names ``%k``, and filling would then rewrite that binder too.
 Each filled key is registered through the path ``state_class`` takes for a
 congruence key, and the step carries the class's representative.
 
+A fill rebuilds only what the payload touches.  The hole's positions in the
+key's body are found once per firing (``terms.var_paths``), and each image
+is put there by rebuilding the nodes on the paths to them alone
+(``terms.fill_paths``): every hole-free subtree of a filled body is the
+key's own, and so is the whole body when the continuation never reads the
+payload.  This is exactly ``subst_proc`` of the hole.  No binder of the key
+is the hole, so every occurrence is free; and the key's body binders are
+``%k`` numbered on past its top binders, while an image names only the
+frame's names (top binders and free names) and public names, so no body
+binder is free in an image and capture-avoiding substitution would rename
+none.
+
 Only representatives are fired, and the structural layer relies on their
 invariant: ``congruence_key`` numbers every binder of the body from one
 counter, so no two binders share a name and none is a top binder or a free
@@ -59,6 +71,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
+from typing import NamedTuple
 
 from . import knowledge
 from .terms import (
@@ -69,10 +82,12 @@ from .terms import (
     Theory,
     Var,
     apply_msg_subst,
+    fill_paths,
     free_aliases,
     free_vars,
     msg_key,
     nesting_limited,
+    var_paths,
 )
 from .syntax import (
     NAME,
@@ -440,8 +455,7 @@ def fresh_alias(prefix: str, domain: frozenset[Alias]) -> Alias:
         i += 1
 
 
-@dataclass(frozen=True)
-class Step:
+class Step(NamedTuple):
     """One transition; ``eid`` is the event's id in the theory's table and
     ``residual`` the successor: its class representative after an input,
     the successor as built otherwise."""
@@ -461,6 +475,31 @@ class TransitionSet:
     def real_steps(self) -> list:
         """The steps that are not phantom firings, listed on first read and kept."""
         return [s for s in self.steps if not s.phantom]
+
+    @cached_property
+    def by_label(self) -> dict:
+        """The steps grouped by label up to the alias an output binds (an
+        output under its channel recipe, an input or silent label under
+        itself), phantom ones included, each group in step order; listed on
+        first read and kept, so the theory's ``enabled`` table owns the index
+        with the set."""
+        index: dict = {}
+        for s in self.steps:
+            a = s.event.action
+            index.setdefault(a.chan if type(a) is OutLabel else a, []).append(s)
+        return index
+
+    def matching(self, a: ActionLabel, onto) -> list:
+        """The steps of ``by_label`` whose label is ``a`` with the alias map
+        ``onto`` applied to its recipes, up to the alias an output binds."""
+        kind = type(a)
+        if kind is OutLabel:
+            key = onto(a.chan)
+        elif kind is InLabel:
+            key = InLabel(onto(a.chan), onto(a.payload))
+        else:
+            key = a
+        return self.by_label.get(key, ())
 
 
 def enabled_transitions(
@@ -553,12 +592,14 @@ def _input_residuals(A: ExtendedProcess, binders, t: PIn, images, theory: Theory
     under ``binders``, one per payload image: each the class key, registered
     in the theory, of ``new binders.(A.frame | t.cont)`` with the image for
     ``t.binder``.  The firing is keyed once, with the bound variable renamed
-    to the hole, and the hole is filled per image (see the module
+    to the hole, the hole's paths in the key's body are found once, and
+    only the nodes on them are rebuilt per image (see the module
     docstring)."""
     key = congruence_key(ExtendedProcess(binders, A.frame, subst_proc(t.cont, {t.binder: _HOLE_VAR})))
+    body, paths = key.body, var_paths(key.body, HOLE)
     residuals = []
     for img in images:
-        filled = ExtendedProcess(key.binders, A.frame, subst_proc(key.body, {HOLE: img}))
+        filled = ExtendedProcess(key.binders, A.frame, fill_paths(body, paths, img))
         residuals.append(theory.reps[_key_class(filled, theory)])
     return residuals
 
@@ -589,10 +630,6 @@ def _key_class(key: ExtendedProcess, theory: Theory) -> int:
         i = classes[key] = len(theory.reps)
         theory.reps.append(key)
     return i
-
-
-def representative(state: ExtendedProcess, theory: Theory) -> ExtendedProcess:
-    return theory.reps[state_class(state, theory)]
 
 
 def default_consts(*procs: Process) -> frozenset[str]:

@@ -479,46 +479,56 @@ def parse_pi_file(text: str, arities: dict[str, int] | None = None) -> tuple[dic
 # --- printing --------------------------------------------------------------
 
 
-def _atom(p: Process) -> str:
-    text = to_text(p)
+def _push_atom(todo: list, p: Process) -> None:
+    """Push ``p`` for ``to_text``, parenthesised when it is a composition."""
     if isinstance(p, (Par, Sum)):
-        return f"({text})"
-    return text
+        todo += (")", p, "(")
+    else:
+        todo.append(p)
 
 
 def to_text(p: Process) -> str:
-    if isinstance(p, Nil):
-        return "0"
-    if isinstance(p, New):
-        names = [p.name]
-        body = p.body
-        while isinstance(body, New):
-            names.append(body.name)
-            body = body.body
-        return f"new {','.join(names)}.{_atom(body)}"
-    if isinstance(p, Par):
-        left = to_text(p.left)
-        if isinstance(p.left, Par):
-            left = f"({left})"
-        return f"{left} | {to_text(p.right)}"
-    if isinstance(p, Bang):
-        return f"!{_atom(p.body)}"
-    if isinstance(p, In):
-        head = f"in({p.chan}, {p.binder})"
-        return head if isinstance(p.body, Nil) else f"{head}.{_atom(p.body)}"
-    if isinstance(p, Out):
-        head = f"out({p.chan}, {p.payload})"
-        return head if isinstance(p.body, Nil) else f"{head}.{_atom(p.body)}"
-    if isinstance(p, Match):
-        return f"[{p.lhs} = {p.rhs}] {_atom(p.body)}"
-    if isinstance(p, Mismatch):
-        return f"[{p.lhs} != {p.rhs}] {_atom(p.body)}"
-    if isinstance(p, Sum):
-        left = to_text(p.left)
-        if isinstance(p.left, Sum):
-            left = f"({left})"
-        return f"{left} + {to_text(p.right)}"
-    raise TypeError(p)
+    """``p`` in the concrete syntax ``parse_process`` reads.  Printed from an
+    explicit stack of pending processes and literal text, so that no
+    nesting depth exhausts the interpreter's."""
+    out: list[str] = []
+    todo: list = [p]
+    while todo:
+        q = todo.pop()
+        if type(q) is str:
+            out.append(q)
+        elif isinstance(q, Nil):
+            out.append("0")
+        elif isinstance(q, New):
+            names = [q.name]
+            body = q.body
+            while isinstance(body, New):
+                names.append(body.name)
+                body = body.body
+            out.append(f"new {','.join(names)}.")
+            _push_atom(todo, body)
+        elif isinstance(q, (Par, Sum)):
+            # the right operand is printed last, so pushed first
+            todo += (q.right, " | " if isinstance(q, Par) else " + ")
+            if type(q.left) is type(q):
+                todo += (")", q.left, "(")
+            else:
+                todo.append(q.left)
+        elif isinstance(q, Bang):
+            out.append("!")
+            _push_atom(todo, q.body)
+        elif isinstance(q, (In, Out)):
+            head = f"in({q.chan}, {q.binder})" if isinstance(q, In) else f"out({q.chan}, {q.payload})"
+            out.append(head)
+            if not isinstance(q.body, Nil):
+                out.append(".")
+                _push_atom(todo, q.body)
+        elif isinstance(q, (Match, Mismatch)):
+            out.append(f"[{q.lhs} {'=' if isinstance(q, Match) else '!='} {q.rhs}] ")
+            _push_atom(todo, q.body)
+        else:
+            raise TypeError(q)
+    return "".join(out)
 
 
 # --- extended processes ----------------------------------------------------

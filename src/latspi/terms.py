@@ -17,7 +17,8 @@ it hashes as the fields do, by ``PYTHONHASHSEED`` alone.  Only the module
 defining a node class indexes its fields: here ``rename_vars`` and
 ``rename_first_use`` dispatch on a message's tag and read its fields by
 position, and ``syntax`` walks processes through their classes' layouts.
-Other code reads fields by name.
+Other code reads fields by name.  ``var_paths`` and ``fill_paths`` read no
+class's fields: they walk any tree of nodes as nested tuples, by position.
 """
 
 from __future__ import annotations
@@ -130,7 +131,25 @@ class App(Node):
         return tuple.__new__(cls, ("App", fn, args))
 
     def __str__(self):
-        return f"{self.fn.name}({', '.join(str(a) for a in self.args)})"
+        # an explicit stack of pending messages and literal text, so that no
+        # nesting depth exhausts the interpreter's
+        out: list[str] = []
+        todo: list = [self]
+        while todo:
+            m = todo.pop()
+            if type(m) is str:
+                out.append(m)
+            elif type(m) is App:
+                todo.append(")")
+                args = m.args
+                for k in range(len(args) - 1, 0, -1):
+                    todo += (args[k], ", ")
+                if args:
+                    todo.append(args[0])
+                out.append(f"{m.fn.name}(")
+            else:
+                out.append(str(m))
+        return "".join(out)
 
 
 Message = Var | Alias | App
@@ -205,6 +224,37 @@ def rename_first_use(m: Message, env: dict[str, Message | None], name) -> Messag
     if tag == "App":
         return tuple.__new__(App, ("App", m[1], tuple([rename_first_use(a, env, name) for a in m[2]])))
     return m
+
+
+def var_paths(t: tuple, name: str):
+    """Where ``Var(name)`` occurs in the tree ``t``, a node or a tuple of
+    nodes, read as a tree of positions: ``True`` when ``t`` is the variable,
+    ``None`` when it does not occur in ``t``, and otherwise the pairs
+    ``(position, paths)`` of the fields of ``t`` in which it occurs.  No
+    binder is read, so every occurrence is listed."""
+    if t and t[0] == "Var":
+        return True if t[1] == name else None
+    paths = [
+        (i, sub)
+        for i, f in enumerate(t)
+        # a field that is no tuple (a tag, a binder, a fuel) holds no variable
+        if isinstance(f, tuple) and (sub := var_paths(f, name)) is not None
+    ]
+    return tuple(paths) or None
+
+
+def fill_paths(t: tuple, paths, m: Message) -> tuple:
+    """``t`` with ``m`` at the positions ``paths`` lists (``var_paths``).
+    Only the nodes on those paths are rebuilt; every other subtree of the
+    result is the one ``t`` holds."""
+    if paths is None:
+        return t
+    if paths is True:
+        return m
+    fields = list(t)
+    for i, sub in paths:
+        fields[i] = fill_paths(fields[i], sub, m)
+    return tuple.__new__(type(t), fields)
 
 
 @dataclass(frozen=True)
@@ -517,9 +567,9 @@ def apply_msg_subst(m: Message, s: Substitution) -> Message:
 
 class AliasMap:
     """A finite injective map from aliases to aliases.  Immutable: its key
-    is computed on first use and kept."""
+    and its inverse are computed on first use and kept."""
 
-    __slots__ = ("mapping", "_key")
+    __slots__ = ("mapping", "_key", "_inverse")
 
     def __init__(self, mapping: Mapping[Alias, Alias] = ()):
         mapping = dict(mapping)
@@ -527,6 +577,7 @@ class AliasMap:
             raise ValueError("alias map must be injective")
         self.mapping = mapping
         self._key = None
+        self._inverse = None
 
     @property
     def domain(self) -> frozenset[Alias]:
@@ -558,8 +609,19 @@ class AliasMap:
         # injective by the test above, so ``__init__``'s test is skipped
         new = object.__new__(AliasMap)
         new.mapping = {**self.mapping, a: b}
-        new._key = None
+        new._key = new._inverse = None
         return new
+
+    def inverse(self) -> "AliasMap":
+        """The inverse map, built on first use and kept.  The inverse keeps
+        no reference back, so a map and its inverse form no cycle."""
+        inv = self._inverse
+        if inv is None:
+            inv = object.__new__(AliasMap)
+            inv.mapping = {b: a for a, b in self.mapping.items()}
+            inv._key = inv._inverse = None
+            self._inverse = inv
+        return inv
 
     def __str__(self):
         if not self.mapping:

@@ -45,11 +45,11 @@ class ExhaustiveST(Checker):
             if fnode is not None:
                 return fnode
         for side in self.sides:
-            answers = tsets["right" if side == "left" else "left"].steps
+            follower = tsets["right" if side == "left" else "left"]
             for step in tsets[side].real_steps:
                 for ctx in self.contexts(cfg, side, step.eid):
                     refutations = []
-                    for event2, cfg2 in self.legal_replies(cfg, side, step, ctx, answers):
+                    for event2, cfg2 in self.legal_replies(cfg, side, step, ctx, follower):
                         child = self.run(cfg2, depth + 1)
                         if child is None:
                             break

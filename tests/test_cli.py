@@ -424,6 +424,40 @@ def test_deep_input_exits_two(files, capsys, command):
     assert err.startswith("error: resource limit hit: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "src",
+    [
+        "out(a, " + "h(" * 800 + "m" + ")" * 800 + ")",
+        ".".join(f"out(a, m{i})" for i in range(800)),
+    ],
+    ids=["message", "prefixes"],
+)
+def test_parse_prints_what_it_parsed(files, capsys, src):
+    # printing walks an explicit stack, so it follows any nesting that the
+    # parser reads: 800 nested applications, or a chain of 800 prefixes
+    p = parse_process(src)
+    code, out, err = run(capsys, "parse", files("deep.pi", src))
+    assert code == 0 and err == ""
+    assert _same_tree(parse_process(out), p)
+
+
+def _same_tree(a, b) -> bool:
+    """Structural equality of two trees of tuples, walked from an explicit
+    stack: ``==`` recurses in C, and these trees nest too deep for it."""
+    todo = [(a, b)]
+    while todo:
+        x, y = todo.pop()
+        if type(x) is not type(y):
+            return False
+        if isinstance(x, tuple):
+            if len(x) != len(y):
+                return False
+            todo += zip(x, y)
+        elif x != y:
+            return False
+    return True
+
+
 def test_deep_message_is_a_typed_resource_limit(files, capsys):
     # 500 nested applications parse, but canonicalising the state recurses
     # deeper than the interpreter allows: a library caller gets a typed

@@ -182,12 +182,12 @@ def test_failure_round_keeps_maximal_retention_under_st_exhaustive():
     cid_l, cid_r, *_ = checker.memo_key(cfg)  # the two states' class ids
     (step,) = checker.transitions(cid_l).real_steps
     (ctx,) = checker.contexts(cfg, "left", step.eid)
-    _, cfg2 = next(checker.legal_replies(cfg, "left", step, ctx, checker.transitions(cid_r).steps))
+    _, cfg2 = next(checker.legal_replies(cfg, "left", step, ctx, checker.transitions(cid_r)))
     cid_l, cid_r, *_ = checker.memo_key(cfg2)
     left, right = checker.transitions(cid_l), checker.transitions(cid_r)
     (step_r,) = right.real_steps
     empty = next(checker.contexts(cfg2, "right", step_r.eid))
-    assert empty == ([], []) and list(checker.legal_replies(cfg2, "right", step_r, empty, left.steps))
+    assert empty == ([], []) and list(checker.legal_replies(cfg2, "right", step_r, empty, left))
     node = checker.failure_witness(cfg2, left, right)
     assert isinstance(node, FailureNode) and node.event == step_r.event
 
@@ -226,6 +226,80 @@ def corpus_witnesses(runs) -> str:
 
 def test_corpus_witnesses_match_the_golden_file(corpus_runs):
     assert corpus_witnesses(corpus_runs) == GOLDEN_WITNESSES.read_bytes().decode()
+
+
+# --- label-indexed replies ---------------------------------------------------
+
+
+def _match_label(left_action, right_action, rho):
+    """The extension of ``rho`` under which the left label maps onto the
+    right one, or ``None``: the labels compared one pair at a time."""
+    if type(left_action) is not type(right_action):
+        return None
+    if isinstance(left_action, lts.OutLabel):
+        if rho(left_action.chan) != right_action.chan:
+            return None
+        try:
+            return rho.extend(left_action.alias, right_action.alias)
+        except ValueError:
+            return None
+    if isinstance(left_action, lts.InLabel):
+        same = rho(left_action.chan) == right_action.chan and rho(left_action.payload) == right_action.payload
+        return rho if same else None
+    return rho
+
+
+def _scanned_replies(checker, cfg, side, step, ctx, follower):
+    """``Checker.legal_replies`` found by matching the leader's label against
+    every follower step in turn."""
+    demands, kept = ctx
+    for answer in follower.steps:
+        if side == "left":
+            rho2 = _match_label(step.event.action, answer.event.action, cfg.rho)
+            pair, left2, right2 = (step.eid, answer.eid), step.residual, answer.residual
+        else:
+            rho2 = _match_label(answer.event.action, step.event.action, cfg.rho)
+            pair, left2, right2 = (answer.eid, step.eid), answer.residual, step.residual
+        if rho2 is None or any(checker.indep(d, answer.eid) != want for d, want in demands):
+            continue
+        pairs = frozenset() if kept is None else frozenset((*kept, pair))
+        yield answer.event, games.GameConfig(left2, right2, rho2, pairs)
+
+
+class _ReplyProbe(Checker):
+    """A checker that, at each configuration whose replies it first reads,
+    compares the indexed replies with the scanned ones for every step of
+    either side as the leader."""
+
+    compared = 0
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.seen = set()
+
+    def legal_replies(self, cfg, side, step, ctx, follower):
+        key = self.memo_key(cfg)
+        if key not in self.seen:
+            self.seen.add(key)
+            tsets = {"left": self.transitions(key[0]), "right": self.transitions(key[1])}
+            for lead, other in (("left", "right"), ("right", "left")):
+                for s in tsets[lead].steps:
+                    c = self.rule(cfg, lead, s.eid)
+                    indexed = list(super().legal_replies(cfg, lead, s, c, tsets[other]))
+                    assert indexed == list(_scanned_replies(self, cfg, lead, s, c, tsets[other]))
+                    _ReplyProbe.compared += 1
+        return super().legal_replies(cfg, side, step, ctx, follower)
+
+
+def test_indexed_replies_are_the_scanned_ones(monkeypatch):
+    # every configuration that a corpus check or replay reads replies at,
+    # in the search, the failure round or the replay
+    monkeypatch.setattr(games, "Checker", _ReplyProbe)
+    monkeypatch.setattr(_ReplyProbe, "compared", 0)
+    for case in load_corpus():
+        result, _ = run_case(case)
+        assert result.ok, (case.name, result.error)
+    assert _ReplyProbe.compared > 20_000  # 27,263 at this writing
 
 
 class _DepthProbe(Checker):

@@ -1,7 +1,10 @@
 """Attacker knowledge: recipe enumeration, satisfaction, static equivalence."""
 
+import gc
+
 from hypothesis import example, given, settings, strategies as st
 
+from latspi.corpus import DISTINGUISHED, load_corpus, run_case
 from latspi.games import Checker, GameConfig, Rel
 from latspi.knowledge import (
     StaticWitness,
@@ -409,3 +412,20 @@ def test_class_keyed_static_test_matches_reference(problem, rel):
         expected = static_scan(frame_a, frame_b, rho, recipes, reference, both)
         left, right = ExtendedProcess((), frame_a, Nil()), ExtendedProcess((), frame_b, Nil())
         assert checker.static_witness(GameConfig(left, right, rho, frozenset())) == expected
+
+
+def test_a_dolev_yao_case_leaves_no_cyclic_garbage():
+    # the static layer interns thousands of frame classes per Dolev-Yao
+    # case; none may leave a reference cycle for the cycle collector, so a
+    # check and its replay, run with the collector off, free all they drop
+    case = next(c for c in load_corpus() if c.name == "onetime-key-bang-sim-hp")
+    run_case(case)  # a first run may import lazily; each run has its own theory
+    gc.collect()
+    gc.disable()
+    try:
+        result, _ = run_case(case)
+        found = gc.collect()
+    finally:
+        gc.enable()
+    assert result.actual == DISTINGUISHED and result.replay_ok
+    assert found == 0

@@ -13,7 +13,7 @@ from latspi.lts import (
     diamond_check,
     enabled_transitions,
     reachable_lts,
-    representative,
+    state_class,
 )
 from latspi.syntax import (
     Bang,
@@ -152,7 +152,7 @@ def test_delivered_secret_stays_apart_from_the_receivers_restriction():
     follow = enabled_transitions(after, bounds, theory, signature, consts)
     (out_step,) = follow.real_steps
     # the delivered secret and the receiver's own restriction stay distinct
-    state = str(representative(out_step.residual, theory))
+    state = str(theory.reps[state_class(out_step.residual, theory)])
     assert state == "new %0,%1,%2.({1l -> pair(%0, %1)} | 0 | 0)"
 
 
@@ -241,7 +241,7 @@ def _successors_raise_the_measure(state, bounds, theory, signature, consts) -> l
     included, reach, each asserted to measure more than ``state``."""
     reps = []
     for s in enabled_transitions(state, bounds, theory, signature, consts).steps:
-        rep = representative(s.residual, theory)
+        rep = theory.reps[state_class(s.residual, theory)]
         assert _measure(rep) > _measure(state), (str(state), str(s.event), s.phantom)
         assert _measure(rep) == _measure(s.residual)
         reps.append(rep)

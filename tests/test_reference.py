@@ -10,6 +10,7 @@ are congruent by the reference's own test.
 """
 
 from collections import Counter, defaultdict
+from contextlib import contextmanager
 from dataclasses import replace
 from functools import cache
 
@@ -17,9 +18,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import latspi.independence
+from latspi import lts
 from latspi.corpus import THEORIES
 from latspi.games import build_signature
-from latspi.lts import ExplorationBounds, InLabel, default_consts, diamond_check, enabled_transitions
+from latspi.lts import HOLE, ExplorationBounds, InLabel, default_consts, diamond_check, enabled_transitions
 from latspi.syntax import (
     Bang,
     ExtendedProcess,
@@ -35,7 +37,7 @@ from latspi.syntax import (
     subst_proc,
     symbols_of,
 )
-from latspi.terms import Alias, Substitution, Theory, Var
+from latspi.terms import Alias, Substitution, Theory, Var, fill_paths
 from reference import lts as ref
 from reference.syntax import alpha_equal, alpha_equivalent, congruent, prime, rename, subst, symbols
 from reference.syntax import free_names as ref_free_names
@@ -159,6 +161,43 @@ def _classes_are_keys(theory) -> None:
     assert all(congruence_key(s) == theory.reps[i] for s, i in theory.classes.items())
 
 
+_HOLE = Var(HOLE)
+
+
+def _assert_shared(filled, key) -> bool:
+    """Assert that every subtree of ``key`` without the hole is, by
+    identity, the subtree at the same position of ``filled``; return
+    whether ``key`` holds the hole."""
+    if key == _HOLE:
+        return True
+    holds = False
+    for f, k in zip(filled, key):
+        if isinstance(k, tuple) and _assert_shared(f, k):
+            holds = True
+    assert holds or filled is key, str(key)
+    return holds
+
+
+@contextmanager
+def _fills_checked():
+    """Check each payload fill that ``lts`` makes meanwhile: the filled body
+    is the key's body with ``subst_proc`` of the hole, and it shares every
+    hole-free subtree of the key's body.  Yields the list of checked
+    fills."""
+    checked = []
+
+    def fill(body, paths, img):
+        filled = fill_paths(body, paths, img)
+        assert filled == subst_proc(body, {HOLE: img}), (str(body), str(img))
+        _assert_shared(filled, body)
+        checked.append(filled)
+        return filled
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lts, "fill_paths", fill)
+        yield checked
+
+
 def _synchronising_bangs():
     """Bodies shaped like ``!new k.(out(c,k).P | in(c,x).Q)``.  Unfolded once,
     the copy synchronises with the phantom copy beyond it while both extrude
@@ -217,6 +256,22 @@ def test_drawn_states_fire_as_the_reference(binders, unfolded):
     assert violations == [], [(str(s), str(e0), str(e1)) for s, e0, e1 in violations]
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.lists(_names, unique=True, max_size=3), _unfolded)
+@example((), (parse_process("!in(a, x).out(b, x) | out(a, m)"), 2))
+def test_payload_fills_of_drawn_states_rebuild_only_the_paths_to_the_hole(binders, unfolded):
+    # the states that ``test_drawn_states_fire_as_the_reference`` draws, and
+    # their successors, fired with every payload fill checked
+    p, unfold = unfolded
+    p = prime_bangs(p, unfold)
+    bounds, theory = ExplorationBounds(recipe_depth=1, static_depth=1, repl_unfold=unfold), Theory(())
+    args = (bounds, theory, build_signature(theory, p), default_consts(p))
+    state = ExtendedProcess(tuple(binders), Substitution(), p)
+    with _fills_checked():
+        for s in enabled_transitions(state, *args).steps:
+            enabled_transitions(s.residual, *args)
+
+
 @pytest.fixture(autouse=True, scope="module")
 def _free_the_corpus_graphs():
     # the largest live objects of the suite: freed after their last reader,
@@ -248,6 +303,15 @@ def test_corpus_states_fire_as_the_reference():
     assert states > 500 and steps > 2000  # 697 and 2,455 at this writing
 
 
+def test_payload_fills_rebuild_only_the_paths_to_the_hole():
+    # every input firing of every state the corpus systems reach, explored
+    # afresh so that no firing is read from a table
+    with _fills_checked() as checked:
+        for _, src, case in corpus_systems():
+            explore(src, case.bounds, THEORIES[case.theory]())
+    assert len(checked) > 400  # 508 at this writing
+
+
 def test_rewriting_payload_images_fire_as_the_reference():
     # Dolev-Yao systems whose payload recipes, such as ``dec(0l, 1l)`` and
     # ``fst(0l)``, have substituted forms that rewrite, as no corpus
@@ -257,7 +321,8 @@ def test_rewriting_payload_images_fire_as_the_reference():
         "new k.(out(a, enc(m, k)) | out(a, k) | in(b, x).out(c, x))",
         "out(a, pair(m, n)) | in(b, x).new y.out(y, x)",
     ):
-        graph, args = explore(src, bounds, THEORIES["dolev-yao"]())
+        with _fills_checked():
+            graph, args = explore(src, bounds, THEORIES["dolev-yao"]())
         sem = ref.Semantics(bounds, THEORIES["dolev-yao"](), *args[2:])
         for state in graph.states:
             fires_as_the_reference(state, sem, *args)
