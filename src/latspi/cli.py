@@ -25,13 +25,13 @@ from .games import (
     FailureNode,
     LeadNode,
     Rel,
-    StaticNode,
     Verdict,
     build_signature,
     check,
     witness_replay,
 )
 from .knowledge import (
+    StaticWitness,
     satisfies,
     static_equiv_witness,
     static_impl_witness,
@@ -132,15 +132,13 @@ def load_process(path: str):
 # --- witness serialization -------------------------------------------------
 
 
+def _static_witness_json(w: StaticWitness) -> dict:
+    return {"m": str(w.m), "n": str(w.n), "holds_left": w.holds_left, "holds_right": w.holds_right}
+
+
 def witness_to_json(node) -> dict:
-    if isinstance(node, StaticNode):
-        return {
-            "kind": "static",
-            "m": str(node.m),
-            "n": str(node.n),
-            "holds_left": node.holds_left,
-            "holds_right": node.holds_right,
-        }
+    if isinstance(node, StaticWitness):
+        return {"kind": "static", **_static_witness_json(node)}
     if isinstance(node, FailureNode):
         return {"kind": "failure", "event": str(node.event)}
     if isinstance(node, LeadNode):
@@ -331,17 +329,7 @@ def cmd_static_equiv(args) -> int:
             raise CliError("frames have different alias domains; cannot use the identity map")
         fn = static_impl_witness if args.impl else static_equiv_witness
         w = fn(left, right, ID_ALIAS, consts, signature, bounds.static_depth, theory)
-        data = {
-            "equivalent": w is None,
-            "witness": None
-            if w is None
-            else {
-                "m": str(w.m),
-                "n": str(w.n),
-                "holds_left": w.holds_left,
-                "holds_right": w.holds_right,
-            },
-        }
+        data = {"equivalent": w is None, "witness": None if w is None else _static_witness_json(w)}
         code = 0 if w is None else 1
     if args.format == "json":
         print(json.dumps(data, indent=2))

@@ -264,13 +264,8 @@ class GameConfig(NamedTuple):
 
 # --- witness trees ---------------------------------------------------------
 
-
-@dataclass
-class StaticNode:
-    m: object
-    n: object
-    holds_left: bool
-    holds_right: bool
+# A configuration that its frames separate is refuted by the static test's
+# own ``knowledge.StaticWitness``, a leaf of the tree.
 
 
 @dataclass
@@ -491,7 +486,7 @@ class Checker:
         ``None``, or ``_CUT``."""
         w = self.static_witness(cfg)
         if w is not None:
-            return StaticNode(w.m, w.n, w.holds_left, w.holds_right)
+            return w
         transitions = self.transitions
         if self.failure_round:
             fnode = self.failure_witness(cfg, transitions(key[0]), transitions(key[1]))
@@ -577,15 +572,8 @@ def _replay_node(checker: Checker, cfg: GameConfig, node) -> bool:
     key = checker.memo_key(cfg)
     reps = checker.theory.reps
     cfg = GameConfig(reps[key[0]], reps[key[1]], cfg.rho, cfg.pairs)
-    if isinstance(node, StaticNode):
-        w = checker.static_witness(cfg)
-        return (
-            w is not None
-            and w.m == node.m
-            and w.n == node.n
-            and w.holds_left == node.holds_left
-            and w.holds_right == node.holds_right
-        )
+    if isinstance(node, StaticWitness):
+        return checker.static_witness(cfg) == node
     if isinstance(node, FailureNode):
         if not checker.failure_round or checker.static_witness(cfg) is not None:
             return False

@@ -14,22 +14,18 @@ their sorted position.  ``recipe_template`` enumerates that list once per
 position order, and ``recipe_enum`` renames it into a domain.  A static
 test reads the frames only through their images: the left frame's in
 sorted-alias order, the right frame's in the order ``rho`` takes the left
-aliases to.  It partitions the template by each image tuple, the i-th
-placeholder standing for the i-th image.
+aliases to, an alias outside ``rho``'s domain read as itself.  So the
+game's bijections and the empty map of the command line's
+``static-equiv`` take one path.  The test partitions the template by each
+image tuple, the i-th placeholder standing for the i-th image.
 
 A partition does not change when the names outside ``consts`` are renamed
 injectively in the images: recipes mention no such name and rewriting
-commutes with the renaming.  So a static test depends only on the class of
-each side's image tuple up to such a renaming, and on ``consts``, which
-each class key includes: a name may be private under one ``consts`` and
-public under another.  ``frame_class`` interns the class of a frame's
-images in sorted-alias order, and ``image_class`` the class of the same
-images in the order of an alias map; both keep the images of the class's
-first frame.  When ``rho`` maps fewer aliases than the frames have (the
-command line's ``static-equiv`` passes the empty map), the right images in
-the left domain's order are interned directly, an unmapped alias read as
-itself.  Every static test, the game's and the command line's, takes this
-one path.
+commutes with the renaming.  So a partition depends only on the template,
+which fixes ``consts``, and on the images' class key (``_class_key``): the
+images with every name outside ``consts`` numbered by first occurrence.
+A name may be private under one ``consts`` and public under another; the
+two have different templates.
 
 In a partition of a template, two recipes share a block when their
 substituted normal forms are equal.  A ``terms.NormalForms`` table interns
@@ -39,12 +35,12 @@ normal form, so a recipe's id under the images follows from its arguments'
 ids without rebuilding or hashing the substituted term.  The table turns
 the ids over the template into a pattern, giving for each recipe the
 position of the first recipe in its block, and interns the pattern as an
-id, once per (template, class), from the class's first images.  Two frames
-are statically equivalent exactly when their partition ids are equal.
-When they differ, the two patterns are walked in enumeration order, and
-the first recipe whose first block-mate on one side lies in another block
-on the other side gives the witness: the pair that comparing normal forms
-recipe by recipe finds first, renamed from the template into the left
+id, once per (template, class key), from the first images with that key.
+Two frames are statically equivalent exactly when their partition ids are
+equal.  When they differ, the two patterns are walked in enumeration order,
+and the first recipe whose first block-mate on one side lies in another
+block on the other side gives the witness: the pair that comparing normal
+forms recipe by recipe finds first, renamed from the template into the left
 frame's domain.  The tables are the theory's, like its recipe lists and
 transitions: calls sharing one ``Theory`` share them, a check and its
 replay included, and they live as long as the theory does.
@@ -185,7 +181,7 @@ class StaticWitness:
     holds_right: bool
 
 
-# --- frame classes ---------------------------------------------------------
+# --- static tests ----------------------------------------------------------
 
 
 def _encode(m: Message, consts: frozenset[str], numbers: dict):
@@ -200,67 +196,23 @@ def _encode(m: Message, consts: frozenset[str], numbers: dict):
     return m
 
 
-def _class_key(images, consts: frozenset[str]) -> tuple:
-    """``consts`` and the images with every name outside ``consts``
-    numbered by first occurrence (``_encode``).  A module-level encoder,
-    not a recursive closure, so that interning leaves no reference cycle
-    for the cycle collector."""
+def _class_key(images: tuple, consts: frozenset[str]) -> tuple:
+    """The images with every name outside ``consts`` numbered by first
+    occurrence (``_encode``): equal for two image tuples exactly when one
+    renames the other's names outside ``consts`` injectively.  A
+    module-level encoder, not a recursive closure, so that keying leaves no
+    reference cycle for the cycle collector."""
     numbers: dict = {}
-    return (consts, *[_encode(m, consts, numbers) for m in images])
+    return tuple([_encode(m, consts, numbers) for m in images])
 
 
-def _intern_class(images: tuple, consts: frozenset[str], theory: Theory) -> int:
-    table = theory.frames
-    key = _class_key(images, consts)
-    i = table.get(key)
-    if i is None:
-        i = table[key] = len(theory.class_images)
-        theory.class_images.append(images)
-    return i
-
-
-def frame_class(frame, consts: frozenset[str], theory: Theory) -> int:
-    """Id of the class of the frame's images in sorted-alias order, up to
-    renaming the names outside ``consts``.  The theory's ``frames`` table
-    maps each (frame, consts), and each class key, to the id, so every
-    distinct frame is encoded once per theory; ``theory.class_images[id]``
-    are the images of the class's first frame."""
-    table = theory.frames
-    i = table.get((frame, consts))
-    if i is None:
-        images = tuple([m for _, m in frame.items()])
-        i = table[frame, consts] = _intern_class(images, consts, theory)
-    return i
-
-
-def image_class(cls: int, rho: AliasMap, consts: frozenset[str], theory: Theory) -> int:
-    """Id of the class of the images of class ``cls``, a frame's, taken in
-    ``rho`` order: for each source of ``rho`` in sorted order, the image of
-    its target, ``rho`` mapping onto the frame's domain.  The ``frames``
-    table maps (``cls``, ``rho.key()``) to the id."""
-    table = theory.frames
-    key = (cls, rho.key())
-    i = table.get(key)
-    if i is None:
-        targets = [b for _, b in key[1]]
-        order = sorted(targets)
-        images = theory.class_images[cls]
-        permuted = tuple([images[order.index(b)] for b in targets])
-        i = table[key] = _intern_class(permuted, consts, theory)
-    return i
-
-
-# --- static tests ----------------------------------------------------------
-
-
-def _scan(cls_a: int, cls_b: int, template: list, theory: Theory, both_directions: bool):
+def _scan(images_a: tuple, images_b: tuple, template: list, consts, theory: Theory, both_directions):
     """``(j, k, holds_left, holds_right)`` for the first template recipes
-    ``j < k`` whose equality holds under the images of one class and not
-    under those of the other, or ``None`` when the two partition the
-    template alike."""
-    table, images = theory.normal_forms, theory.class_images
-    part_a = table.partition(template, cls_a, images[cls_a], theory.normalize)
-    part_b = table.partition(template, cls_b, images[cls_b], theory.normalize)
+    ``j < k`` whose equality holds under one image tuple and not under the
+    other, or ``None`` when the two partition the template alike."""
+    table, normalize = theory.normal_forms, theory.normalize
+    part_a = table.partition(template, _class_key(images_a, consts), images_a, normalize)
+    part_b = table.partition(template, _class_key(images_b, consts), images_b, normalize)
     if part_a == part_b:
         return None
     pat_a, pat_b = table.patterns[part_a], table.patterns[part_b]
@@ -275,19 +227,18 @@ def _scan(cls_a: int, cls_b: int, template: list, theory: Theory, both_direction
 
 
 def _static_test(frame_a, frame_b, rho, consts, signature, depth, theory, both_directions):
-    size = len(frame_a.mapping)
-    template = recipe_template(size, consts, signature, depth, theory)
-    cls_a = frame_class(frame_a, consts, theory)
-    if len(rho.mapping) == size == len(frame_b.mapping):
-        cls_b = image_class(frame_class(frame_b, consts, theory), rho, consts, theory)
-    else:
-        right = [rho.mapping.get(a, a) for a, _ in frame_a.items()]
-        cls_b = _intern_class(tuple([frame_b.mapping.get(b, b) for b in right]), consts, theory)
-    found = _scan(cls_a, cls_b, template, theory, both_directions)
+    aliases = list(frame_a.mapping)
+    template = recipe_template(len(aliases), consts, signature, depth, theory)
+    images_a = tuple(frame_a.mapping.values())
+    # the right images in the order ``rho`` takes the left aliases to; an
+    # alias outside ``rho``'s domain, or the right frame's, is read as itself
+    mapped, right = rho.mapping.get, frame_b.mapping.get
+    images_b = tuple([right(b, b) for b in [mapped(a, a) for a in aliases]])
+    found = _scan(images_a, images_b, template, consts, theory, both_directions)
     if found is None:
         return None
     j, k, holds_left, holds_right = found
-    rename = AliasMap(dict(zip(placeholders(size), [a for a, _ in frame_a.items()])))
+    rename = AliasMap(dict(zip(placeholders(len(aliases)), aliases)))
     return StaticWitness(rename(template[j]), rename(template[k]), holds_left, holds_right)
 
 

@@ -56,6 +56,7 @@ from .terms import (
     Var,
     free_vars,
     msg_symbols,
+    nesting_limited,
     rename_first_use,
     rename_vars,
 )
@@ -616,9 +617,12 @@ def alpha_canonical(A: ExtendedProcess) -> ExtendedProcess:
     return _canonical(A, env, len(A.binders))
 
 
+@nesting_limited
 def congruence_key(A: ExtendedProcess) -> ExtendedProcess:
     """Canonical representative up to structural congruence: alpha-renaming,
-    frame reordering, and reordering of top-level restrictions."""
+    frame reordering, and reordering of top-level restrictions.  A state
+    nesting deeper than the walk can recurse raises
+    ``NestingLimitExceeded``."""
     env = dict.fromkeys(A.binders)
     return _canonical(A, env, len(env))
 

@@ -155,10 +155,6 @@ class App(Node):
 Message = Var | Alias | App
 
 
-def app(name: str, *args: Message) -> App:
-    return App(Symbol(name, len(args)), tuple(args))
-
-
 def free_vars(m: Message) -> frozenset[str]:
     if isinstance(m, Var):
         return frozenset((m.name,))
@@ -293,7 +289,9 @@ class Theory:
     """An oriented convergent presentation of an equational theory.
 
     Normal forms are computed by innermost rewriting with a step budget,
-    ``STEP_BUDGET``, guarding against non-terminating rule sets.
+    ``STEP_BUDGET``, guarding against non-terminating rule sets.  A message
+    nesting deeper than the rewriting can recurse raises
+    ``NestingLimitExceeded``.
     """
 
     def __init__(self, rules: Iterable[RewriteRule]):
@@ -302,6 +300,9 @@ class Theory:
         # cache scope, calls sharing it share their work, and the tables
         # live as long as the theory does.
         self._cache: dict[Message, Message] = {}  # message -> normal form
+        # interned normal forms, and the partitions of each recipe template
+        # by the class key of the images a static test reads into it
+        # (``knowledge._static_test``)
         self.normal_forms = NormalForms()
         # process -> its structural transitions (``lts.proc_transitions``)
         self.structural: dict = {}
@@ -311,12 +312,6 @@ class Theory:
         # (``knowledge.recipe_template``), and (aliases, consts, signature,
         # depth) -> the template renamed into the domain (``recipe_enum``)
         self.recipes: dict = {}
-        # (frame, consts) -> id of the frame's class; (class id, alias map's
-        # key) -> id of the class of its images in the alias map's order;
-        # class key -> id; id -> the images of the class's first frame
-        # (``knowledge.frame_class``)
-        self.frames: dict = {}
-        self.class_images: list = []
         # state -> id of its congruence class, and class id -> the class's
         # representative, its congruence key (``lts.state_class``); every
         # layer that fires, expands or merges states shares them
@@ -354,8 +349,10 @@ class Theory:
         cached = self._cache.get(m)
         if cached is not None:
             return cached
-        steps = [0]
-        nf = self._norm(m, steps)
+        try:
+            nf = self._norm(m, [0])
+        except RecursionError:
+            raise NestingLimitExceeded("input nests deeper than normalize can recurse") from None
         self._cache[m] = nf
         return nf
 
@@ -405,8 +402,8 @@ class NormalForms:
         self.apps: dict[tuple, int] = {}
         # id(template) -> (the template, kept so that its id stays unique; its shape)
         self.shapes: dict[int, tuple[list, list]] = {}
-        # (id(template), class id) -> id of the partition of the template by
-        # the class's images
+        # (id(template), class key of the images) -> id of the partition of
+        # the template by the images
         self.partitions: dict[tuple, int] = {}
         # partition pattern -> its id, and id -> pattern
         self.pattern_ids: dict[tuple, int] = {}
@@ -445,19 +442,20 @@ class NormalForms:
         self.shapes[id(template)] = (template, out)
         return out
 
-    def partition(self, template: list, cls: int, images: tuple, normalize) -> int:
+    def partition(self, template: list, key: tuple, images: tuple, normalize) -> int:
         """The id of the partition of the template's recipes by their normal
-        forms when the template's i-th alias stands for ``images[i]``, the
-        images of the frame class ``cls`` (``knowledge.frame_class``), whose
-        frames all partition the template alike.  Its pattern,
-        ``patterns[id]``, gives for each recipe the position of the first
-        recipe with the same normal form, so two image tuples partition the
-        template alike exactly when their ids are equal.  Every recipe is
-        normalised, once per (template, class).  ``normalize`` is the owning
-        theory's: the table keeps no reference back to the theory, so a
-        dropped theory is freed at once, not by the cycle collector."""
-        key = (id(template), cls)
-        hit = self.partitions.get(key)
+        forms when the template's i-th alias stands for ``images[i]``.  Its
+        pattern, ``patterns[id]``, gives for each recipe the position of the
+        first recipe with the same normal form, so two image tuples
+        partition the template alike exactly when their ids are equal.
+        ``key`` is the images' class key (``knowledge._class_key``): image
+        tuples with equal keys partition the template alike, so the
+        partition is computed, every recipe normalised, once per (template,
+        key).  ``normalize`` is the owning theory's: the table keeps no
+        reference back to the theory, so a dropped theory is freed at once,
+        not by the cycle collector."""
+        slot = (id(template), key)
+        hit = self.partitions.get(slot)
         if hit is not None:
             return hit
         apps, terms, intern = self.apps, self.terms, self.intern
@@ -488,7 +486,7 @@ class NormalForms:
         if p is None:
             p = self.pattern_ids[pattern] = len(self.patterns)
             self.patterns.append(pattern)
-        self.partitions[key] = p
+        self.partitions[slot] = p
         return p
 
 

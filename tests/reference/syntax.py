@@ -15,10 +15,15 @@ the bijections.
 """
 
 from latspi.syntax import Bang, In, Match, Mismatch, New, Nil, Out, Par, Sum
-from latspi.terms import App, Var
+from latspi.terms import App, Symbol, Var
 
 
 # --- messages --------------------------------------------------------------
+
+
+def app(name: str, *args):
+    """The application of the symbol ``name``, of arity ``len(args)``."""
+    return App(Symbol(name, len(args)), args)
 
 
 def names(m) -> frozenset:

@@ -11,7 +11,6 @@ from latspi.games import (
     Checker,
     LeadNode,
     ReplyNode,
-    StaticNode,
     Verdict,
     build_signature,
     initial_config,
@@ -38,7 +37,7 @@ class ExhaustiveST(Checker):
     def _decide(self, cfg, key, depth):
         w = self.static_witness(cfg)
         if w is not None:
-            return StaticNode(w.m, w.n, w.holds_left, w.holds_right)
+            return w
         tsets = {"left": self.transitions(key[0]), "right": self.transitions(key[1])}
         if self.failure_round:
             fnode = self.failure_witness(cfg, tsets["left"], tsets["right"])

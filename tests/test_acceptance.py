@@ -36,7 +36,8 @@ from latspi.lts import (
 )
 from latspi.knowledge import satisfies
 from latspi.syntax import from_process, parse_process, prime_bangs, struct_congruent
-from latspi.terms import Alias, Substitution, Theory, Var, app
+from latspi.terms import Alias, Substitution, Theory, Var
+from reference.syntax import app
 from st_oracle import check_exhaustive
 from test_lts_systems import corpus_systems, explore
 

@@ -26,15 +26,16 @@ from latspi.games import (
     FailureNode,
     LeadNode,
     Rel,
-    StaticNode,
     build_signature,
     check,
     initial_config,
     witness_replay,
 )
+from latspi.knowledge import StaticWitness
 from latspi.lts import ExplorationBounds, default_consts
 from latspi.syntax import ExtendedProcess, congruence_key, parse_process
-from latspi.terms import Alias, AliasMap, Substitution, Theory, Var, app, msg_key
+from latspi.terms import Alias, AliasMap, Substitution, Theory, Var, msg_key
+from reference.syntax import app
 from st_oracle import ExhaustiveST, check_exhaustive
 from test_reference import _classes_are_keys
 
@@ -102,7 +103,7 @@ def test_distinguishing_witness_ends_in_dead_end_or_static():
     leaves = [n for n in nodes if not (isinstance(n, LeadNode) and n.replies)]
     assert leaves
     for leaf in leaves:
-        assert isinstance(leaf, (StaticNode, FailureNode)) or leaf.replies == []
+        assert isinstance(leaf, (StaticWitness, FailureNode)) or leaf.replies == []
 
 
 def test_failure_witness_is_right_enabled_event():
@@ -419,16 +420,16 @@ def test_each_frame_is_partitioned_once_per_theory(monkeypatch):
     table = theory.normal_forms
     partition, computed = table.partition, []
 
-    def counting(template, cls, images, normalize):
+    def counting(template, key, images, normalize):
         normalized = []
 
         def norm(m):
             normalized.append(m)
             return normalize(m)
 
-        part = partition(template, cls, images, norm)
+        part = partition(template, key, images, norm)
         if normalized:  # a computed partition normalises at least its atoms
-            computed.append((id(template), cls))
+            computed.append((id(template), key))
         return part
 
     monkeypatch.setattr(table, "partition", counting)
@@ -445,7 +446,7 @@ def test_each_frame_is_partitioned_once_per_theory(monkeypatch):
     for rel in Rel:
         verdicts.append(check(rel, p, q, case.bounds, theory))
         assert verdicts[-1].related or witness_replay(verdicts[-1], p, q, theory)
-    # each (template, frame class) partition is computed once
+    # each (template, class key) partition is computed once
     assert computed and len(computed) == len(set(computed)) == len(table.partitions)
     monkeypatch.undo()
 

@@ -4,7 +4,8 @@ from hypothesis import given, strategies as st
 
 from latspi.independence import indep_event, indep_loc
 from latspi.lts import Event, InLabel, Location, OutLabel, PairLoc, TauLabel
-from latspi.terms import Alias, Var, app
+from latspi.terms import Alias, Var
+from reference.syntax import app
 
 
 def out(chan, alias, prefix, choice=""):

@@ -24,11 +24,11 @@ from latspi.terms import (
     Symbol,
     Theory,
     Var,
-    app,
     rename_vars,
     dolev_yao,
 )
 from reference.knowledge import recipes as reference_recipes, static_scan
+from reference.syntax import app
 
 
 L = Alias("", "l")
@@ -181,8 +181,8 @@ def test_alias_bijection_applied_to_right():
 
 def test_frame_classes_are_keyed_on_consts():
     # one theory: b is a private name under {w0, a}, where 0l -> b and 0l -> c
-    # are one class, and a public one under {w0, b}, where 0l = b holds on
-    # the left only
+    # have one class key, and a public one under {w0, b}, where 0l = b holds
+    # on the left only; the two consts give two templates
     theory = Theory(())
     left, right = Substitution({L0: Var("b")}), Substitution({L0: Var("c")})
     for rho in (AliasMap({L0: L0}), ID_ALIAS):
@@ -190,6 +190,18 @@ def test_frame_classes_are_keyed_on_consts():
         assert static_equiv_witness(*args, frozenset({"w0", "a"}), (), 1, theory) is None
         w = static_equiv_witness(*args, frozenset({"w0", "b"}), (), 1, theory)
         assert w == StaticWitness(L0, Var("b"), True, False)
+
+
+def test_image_tuples_with_one_class_key_share_a_partition():
+    # through the swapping rho the right frame's images are (h(%3), %5): the
+    # left frame's (h(%0), %1) with the private names renamed, so one class
+    # key and one partition serve both sides
+    theory = Theory(())
+    left = Substitution({L0: app("h", Var("%0")), L1: Var("%1")})
+    right = Substitution({L0: Var("%5"), L1: app("h", Var("%3"))})
+    swap = AliasMap({L0: L1, L1: L0})
+    assert static_equiv_witness(left, right, swap, frozenset({"w0"}), (Symbol("h", 1),), 1, theory) is None
+    assert len(theory.normal_forms.partitions) == 1
 
 
 # --- agreement with the term-level scan ------------------------------------
@@ -308,7 +320,7 @@ def test_interned_scan_matches_term_scan(problem):
     assert set(_DY.__dict__) == keys
 
 
-# --- the game's static tests, keyed on frame classes ------------------------
+# --- the game's static tests, partitions keyed on class keys ----------------
 
 _PRIVATE = ["%0", "%1", "%2"]
 _ALIASES = [Alias(p, s) for p in ("", "0", "1", "00", "01", "10", "11") for s in ("l", "l'")]
@@ -345,7 +357,7 @@ def _renamed_problems(draw):
     return variants, consts, depth
 
 
-# one theory for every example, so that tests hit classes met in others
+# one theory for every example, so that tests hit partitions met in others
 _GAME_DY = dolev_yao()
 _A, _P0, _P1 = Var("a"), Var("%0"), Var("%1")
 L01 = Alias("01", "l")
@@ -415,9 +427,9 @@ def test_class_keyed_static_test_matches_reference(problem, rel):
 
 
 def test_a_dolev_yao_case_leaves_no_cyclic_garbage():
-    # the static layer interns thousands of frame classes per Dolev-Yao
-    # case; none may leave a reference cycle for the cycle collector, so a
-    # check and its replay, run with the collector off, free all they drop
+    # the static layer keys thousands of image tuples per Dolev-Yao case;
+    # none may leave a reference cycle for the cycle collector, so a check
+    # and its replay, run with the collector off, free all they drop
     case = next(c for c in load_corpus() if c.name == "onetime-key-bang-sim-hp")
     run_case(case)  # a first run may import lazily; each run has its own theory
     gc.collect()

@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -33,8 +34,18 @@ from latspi.syntax import (
     to_text,
 )
 from latspi.lts import TauLabel
-from latspi.terms import ID, Alias, App, ResourceLimitExceeded, Substitution, Symbol, Var, app, msg_key
-from reference.syntax import bound_names
+from latspi.terms import (
+    ID,
+    Alias,
+    App,
+    NestingLimitExceeded,
+    ResourceLimitExceeded,
+    Substitution,
+    Symbol,
+    Var,
+    msg_key,
+)
+from reference.syntax import app, bound_names
 
 
 # --- parsing and printing --------------------------------------------------
@@ -164,6 +175,18 @@ def test_congruence_frame_reorder():
     a = ExtendedProcess(("%0",), Substitution({l0: Var("%0"), l1: Var("x")}), body)
     b = ExtendedProcess(("%0",), Substitution({l1: Var("x"), l0: Var("%0")}), body)
     assert congruence_key(a) == congruence_key(b)
+
+
+def test_deep_state_keys_to_a_typed_limit():
+    # a frame image deeper than the recursion limit under any interpreter
+    # version: ``congruence_key`` raises the package's typed resource limit,
+    # not a bare RecursionError
+    deep = Var("m")
+    for _ in range(sys.getrecursionlimit() + 100):
+        deep = App(Symbol("h", 1), (deep,))
+    state = ExtendedProcess((), Substitution({Alias("0", "l"): deep}), Nil())
+    with pytest.raises(NestingLimitExceeded):
+        congruence_key(state)
 
 
 # --- replication priming ---------------------------------------------------

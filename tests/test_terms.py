@@ -1,5 +1,7 @@
 """Terms, rewriting, substitutions, and alias maps."""
 
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -7,10 +9,12 @@ from latspi.terms import (
     Alias,
     AliasMap,
     App,
+    NestingLimitExceeded,
     RewriteBudgetExceeded,
     RewriteRule,
     Substitution,
     Symbol,
+    Theory,
     TheoryError,
     Var,
     apply_msg_subst,
@@ -69,6 +73,17 @@ def test_rewrite_budget(monkeypatch):
     th = parse_theory("f(x) -> f(f(x))")
     with pytest.raises(RewriteBudgetExceeded):
         th.normalize(T("f(a)"))
+
+
+def test_deep_message_normalizes_to_a_typed_limit():
+    # deeper than the recursion limit under any interpreter version: a
+    # library caller of ``normalize`` gets the package's typed resource
+    # limit, not a bare RecursionError
+    deep = Var("m")
+    for _ in range(sys.getrecursionlimit() + 100):
+        deep = App(Symbol("h", 1), (deep,))
+    with pytest.raises(NestingLimitExceeded):
+        Theory(()).normalize(deep)
 
 
 def test_rule_validation():
